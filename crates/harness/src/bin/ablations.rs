@@ -3,7 +3,7 @@
 use dol_harness::{experiments::ablations, RunPlan};
 
 fn main() {
-    let plan = RunPlan::from_env();
+    let plan = RunPlan::from_env().unwrap_or_else(|e| e.exit());
     println!("{}", ablations::t2_thresholds(&plan).render());
     println!("{}", ablations::c1_density(&plan).render());
     println!("{}", ablations::mpc(&plan).render());

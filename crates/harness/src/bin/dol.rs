@@ -29,10 +29,10 @@ use dol_harness::serve::client as rpc;
 use dol_harness::serve::ops;
 use dol_harness::serve::protocol::{ReplayRequest, Request, RunRequest, SweepRequest};
 use dol_harness::serve::server::{ServeOptions, Server, DEFAULT_QUEUE_CAP};
-use dol_harness::{prefetchers, traces, RunPlan};
+use dol_harness::{prefetchers, sweep, traces, RunPlan};
 use dol_mem::{CacheLevel, NullSink};
 use dol_metrics::{StreamingMetrics, TextTable};
-use dol_trace::{ReadAhead, TraceReader};
+use dol_trace::TraceReader;
 
 fn usage() -> ! {
     eprintln!(
@@ -331,10 +331,8 @@ fn cmd_trace_verify(paths: &[String]) {
         usage();
     }
     for path in paths {
-        // Full decode is throughput-bound: overlap file I/O with chunk
-        // decode via the double-buffered read-ahead.
         let file = match File::open(path) {
-            Ok(f) => ReadAhead::new(f),
+            Ok(f) => BufReader::new(f),
             Err(e) => {
                 eprintln!("cannot open {path}: {e}");
                 std::process::exit(1);
@@ -372,9 +370,10 @@ fn cmd_trace_run(a: Args) {
 /// `shutdown`.
 fn cmd_serve(a: Args) {
     let socket = a.socket_path();
+    let workers = sweep::resolve_jobs(a.jobs).unwrap_or_else(|e| e.exit());
     let server = match Server::start(ServeOptions {
         socket: socket.clone(),
-        workers: a.jobs,
+        workers: Some(workers),
         queue_cap: a.queue_cap.unwrap_or(DEFAULT_QUEUE_CAP),
     }) {
         Ok(s) => s,
@@ -412,7 +411,7 @@ fn cmd_client_sweep(a: &Args) {
     let mut plan = if a.smoke {
         RunPlan::smoke()
     } else {
-        RunPlan::from_env()
+        RunPlan::from_env().unwrap_or_else(|e| e.exit())
     };
     if let Some(j) = a.jobs {
         plan.jobs = j;

@@ -3,6 +3,6 @@
 use dol_harness::{experiments, RunPlan};
 
 fn main() {
-    let plan = RunPlan::from_env();
+    let plan = RunPlan::from_env().unwrap_or_else(|e| e.exit());
     println!("{}", experiments::fig10::run(&plan).render());
 }

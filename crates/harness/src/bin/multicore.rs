@@ -37,7 +37,7 @@ fn main() {
     let mut plan = if smoke {
         RunPlan::smoke()
     } else {
-        RunPlan::from_env()
+        RunPlan::from_env().unwrap_or_else(|e| e.exit())
     };
     if let Some(j) = jobs {
         plan.jobs = j;

@@ -34,5 +34,5 @@ pub mod sweep;
 pub mod traces;
 
 pub use bands::Expectation;
-pub use plan::RunPlan;
+pub use plan::{EnvError, RunPlan};
 pub use runner::{AppRun, BaselineRun};

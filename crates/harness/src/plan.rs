@@ -1,6 +1,57 @@
 //! Run plans: instruction budgets, seeds and parallelism.
 
 use std::path::PathBuf;
+use std::str::FromStr;
+
+/// A `DOL_*` environment override whose value is not a number.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EnvError {
+    /// The variable's name.
+    pub var: &'static str,
+    /// Its value as set.
+    pub value: String,
+}
+
+impl std::fmt::Display for EnvError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "invalid {}={:?}: expected a non-negative integer",
+            self.var, self.value
+        )
+    }
+}
+
+impl std::error::Error for EnvError {}
+
+impl EnvError {
+    /// Reports the error on stderr and exits with status 2, the status
+    /// of a usage error.
+    pub fn exit(&self) -> ! {
+        eprintln!("{self}");
+        std::process::exit(2)
+    }
+}
+
+/// Reads `var` from the process environment. A value that is not
+/// Unicode is passed on lossily, so it fails to parse rather than
+/// reading as unset.
+pub(crate) fn process_env(var: &str) -> Option<String> {
+    std::env::var_os(var).map(|v| v.to_string_lossy().into_owned())
+}
+
+/// Parses the numeric override `var` as `lookup` reads it: `Ok(None)`
+/// when it is unset or empty, an [`EnvError`] when it does not parse.
+pub(crate) fn parse_override<T: FromStr>(
+    lookup: &impl Fn(&str) -> Option<String>,
+    var: &'static str,
+) -> Result<Option<T>, EnvError> {
+    match lookup(var) {
+        None => Ok(None),
+        Some(v) if v.is_empty() => Ok(None),
+        Some(v) => v.parse().map(Some).map_err(|_| EnvError { var, value: v }),
+    }
+}
 
 /// How much to simulate, and with how many workers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,29 +112,31 @@ impl RunPlan {
         }
     }
 
-    /// The full plan with `DOL_INSTS` / `DOL_MIXES` / `DOL_JOBS`
-    /// environment overrides.
-    pub fn from_env() -> Self {
+    /// The full plan with `DOL_INSTS` / `DOL_MIXES` / `DOL_JOBS` /
+    /// `DOL_TRACE_DIR` environment overrides. A numeric override that is
+    /// set but does not parse is an error, never silently ignored.
+    pub fn from_env() -> Result<Self, EnvError> {
+        Self::from_vars(process_env)
+    }
+
+    /// [`from_env`](Self::from_env) over the variables `lookup` returns.
+    pub(crate) fn from_vars(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, EnvError> {
         let mut plan = RunPlan::full();
-        if let Ok(v) = std::env::var("DOL_INSTS") {
-            if let Ok(n) = v.parse::<u64>() {
-                plan.insts = n.max(10_000);
-            }
+        if let Some(n) = parse_override::<u64>(&lookup, "DOL_INSTS")? {
+            plan.insts = n.max(10_000);
         }
-        if let Ok(v) = std::env::var("DOL_MIXES") {
-            if let Ok(n) = v.parse::<usize>() {
-                plan.mix_count = n.clamp(1, 64);
-            }
+        if let Some(n) = parse_override::<usize>(&lookup, "DOL_MIXES")? {
+            plan.mix_count = n.clamp(1, 64);
         }
-        if let Some(n) = crate::sweep::env_jobs() {
+        if let Some(n) = crate::sweep::jobs_override(&lookup)? {
             plan.jobs = n;
         }
-        if let Ok(v) = std::env::var("DOL_TRACE_DIR") {
+        if let Some(v) = lookup("DOL_TRACE_DIR") {
             if !v.is_empty() {
                 plan.trace_dir = Some(PathBuf::from(v));
             }
         }
-        plan
+        Ok(plan)
     }
 
     /// Applies the plan's workload cap (smoke mode) to a suite.
@@ -117,6 +170,56 @@ mod tests {
         assert!(s.insts <= RunPlan::quick().insts);
         assert_eq!(s.mix_count, 1);
         assert!(s.max_workloads.unwrap() <= 3);
+    }
+
+    /// `from_vars` over a fixed set of variables.
+    fn plan_with(vars: &[(&str, &str)]) -> Result<RunPlan, EnvError> {
+        RunPlan::from_vars(|k| {
+            vars.iter()
+                .find(|(name, _)| *name == k)
+                .map(|(_, v)| v.to_string())
+        })
+    }
+
+    #[test]
+    fn overrides_apply_and_empty_means_unset() {
+        let plan = plan_with(&[
+            ("DOL_INSTS", "50000"),
+            ("DOL_MIXES", "3"),
+            ("DOL_JOBS", "2"),
+        ])
+        .unwrap();
+        assert_eq!((plan.insts, plan.mix_count, plan.jobs), (50_000, 3, 2));
+        let empty = plan_with(&[("DOL_INSTS", ""), ("DOL_MIXES", ""), ("DOL_JOBS", "")]);
+        assert_eq!(empty, Ok(RunPlan::full()));
+    }
+
+    #[test]
+    fn garbage_dol_insts_is_an_error() {
+        let err = plan_with(&[("DOL_INSTS", "40k")]).unwrap_err();
+        assert_eq!(
+            err,
+            EnvError {
+                var: "DOL_INSTS",
+                value: "40k".into()
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "invalid DOL_INSTS=\"40k\": expected a non-negative integer"
+        );
+    }
+
+    #[test]
+    fn garbage_dol_mixes_is_an_error() {
+        let err = plan_with(&[("DOL_INSTS", "50000"), ("DOL_MIXES", "-1")]).unwrap_err();
+        assert_eq!((err.var, err.value.as_str()), ("DOL_MIXES", "-1"));
+    }
+
+    #[test]
+    fn garbage_dol_jobs_is_an_error() {
+        let err = plan_with(&[("DOL_JOBS", "four")]).unwrap_err();
+        assert_eq!((err.var, err.value.as_str()), ("DOL_JOBS", "four"));
     }
 
     #[test]

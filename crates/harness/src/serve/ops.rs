@@ -14,11 +14,12 @@
 
 use std::fmt::Write as _;
 use std::fs::File;
+use std::io::BufReader;
 
 use dol_cpu::System;
 use dol_mem::CacheLevel;
 use dol_metrics::scope;
-use dol_trace::{ReadAhead, ReplaySource, TraceReader};
+use dol_trace::{ReplaySource, TraceReader};
 
 use crate::plan::RunPlan;
 use crate::prefetchers;
@@ -88,9 +89,7 @@ pub fn render_replay(path: &str, config: &str) -> Result<String, String> {
         return Err(format!("unknown prefetcher `{config}`; try `dol list`"));
     };
     let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    // ReadAhead overlaps raw file reads with chunk decode, same as the
-    // harness replay path.
-    let mut reader = TraceReader::new(ReadAhead::new(file)).map_err(|e| format!("{path}: {e}"))?;
+    let mut reader = TraceReader::new(BufReader::new(file)).map_err(|e| format!("{path}: {e}"))?;
     let memory = reader.read_memory().map_err(|e| format!("{path}: {e}"))?;
     let header = reader.header().clone();
     let sys: System = single_core();

@@ -89,7 +89,8 @@ impl Server {
         }
         let listener = UnixListener::bind(&opts.socket)?;
         listener.set_nonblocking(true)?;
-        let workers = sweep::resolve_jobs(opts.workers);
+        let workers = sweep::resolve_jobs(opts.workers)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
         let shared = Arc::new(Shared {
             sched: Scheduler::new(workers, opts.queue_cap),
             stop: AtomicBool::new(false),

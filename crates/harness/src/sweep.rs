@@ -15,6 +15,8 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use crate::plan::{parse_override, process_env, EnvError};
+
 /// Resolves a job count: `0` means auto-detect from
 /// [`std::thread::available_parallelism`].
 pub fn effective_jobs(jobs: usize) -> usize {
@@ -31,21 +33,29 @@ pub fn effective_jobs(jobs: usize) -> usize {
 /// place that env var is interpreted. `RunPlan::from_env`, the sweep
 /// pool, and the `dol serve` scheduler all resolve through here, so a
 /// worker count can never mean different things in different layers.
-/// Returns `None` when the variable is unset or unparsable (callers keep
-/// their own default); `Some(0)` still means auto-detect via
-/// [`effective_jobs`].
-pub fn env_jobs() -> Option<usize> {
-    std::env::var("DOL_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|n| n.min(256))
+/// Returns `Ok(None)` when the variable is unset (callers keep their own
+/// default) and an error when it does not parse; `Some(0)` still means
+/// auto-detect via [`effective_jobs`].
+pub fn env_jobs() -> Result<Option<usize>, EnvError> {
+    jobs_override(&process_env)
+}
+
+/// [`env_jobs`] over the variables `lookup` returns.
+pub(crate) fn jobs_override(
+    lookup: &impl Fn(&str) -> Option<String>,
+) -> Result<Option<usize>, EnvError> {
+    Ok(parse_override::<usize>(lookup, "DOL_JOBS")?.map(|n| n.min(256)))
 }
 
 /// Resolves a requested worker count against the `DOL_JOBS` override and
 /// auto-detection: an explicit `Some(n)` wins, then `DOL_JOBS`, then
 /// auto-detect (`0`). The result is always `>= 1`.
-pub fn resolve_jobs(requested: Option<usize>) -> usize {
-    effective_jobs(requested.or_else(env_jobs).unwrap_or(0))
+pub fn resolve_jobs(requested: Option<usize>) -> Result<usize, EnvError> {
+    let jobs = match requested {
+        Some(n) => n,
+        None => env_jobs()?.unwrap_or(0),
+    };
+    Ok(effective_jobs(jobs))
 }
 
 /// Applies `f` to every item, sharding across `jobs` worker threads
@@ -140,9 +150,9 @@ mod tests {
     #[test]
     fn resolve_jobs_prefers_the_explicit_request() {
         // An explicit request always wins over auto-detect.
-        assert_eq!(resolve_jobs(Some(3)), 3);
-        assert!(resolve_jobs(None) >= 1);
-        assert!(resolve_jobs(Some(0)) >= 1, "0 still auto-detects");
+        assert_eq!(resolve_jobs(Some(3)), Ok(3));
+        assert!(resolve_jobs(None).unwrap() >= 1);
+        assert!(resolve_jobs(Some(0)).unwrap() >= 1, "0 still auto-detects");
     }
 
     #[test]

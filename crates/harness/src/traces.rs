@@ -61,10 +61,8 @@ pub fn record_all(plan: &RunPlan, dir: &Path) -> Result<Vec<(String, u64)>, Trac
 /// [`dol_trace::telemetry`].
 pub fn load_workload(trace_dir: &Path, name: &str, plan: &RunPlan) -> Result<Workload, TraceError> {
     let path = trace_path(trace_dir, name);
-    // Plain file reads: the bulk decode reads whole frames into their
-    // final buffers, so a read-ahead thread would only add a copy.
-    // (`ReadAhead` pays off on the *streaming* replay paths, where
-    // decode shares the thread with simulation.)
+    // Plain file reads: the bulk decode reads whole frames straight into
+    // their payload buffer.
     let file = File::open(&path)?;
     let start = Instant::now();
     let (header, memory, trace) = decode_workload(file)?;

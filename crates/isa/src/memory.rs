@@ -125,18 +125,18 @@ impl SparseMemory {
 
     /// Writes a contiguous slice of words starting at `addr`.
     pub fn write_words(&mut self, addr: u64, values: &[u64]) {
-        // Aligned whole-page writes (the trace memory-image decode path)
-        // resolve the page once and block-copy instead of paying the
-        // page lookup per word.
-        if addr % PAGE_BYTES == 0 && values.len() == WORDS_PER_PAGE {
-            let (page, _) = Self::split(addr);
-            let slot = self.ensure_page(page);
-            self.pages[slot as usize].copy_from_slice(values);
-            return;
-        }
         for (i, v) in values.iter().enumerate() {
             self.write_u64(addr + 8 * i as u64, *v);
         }
+    }
+
+    /// The words of the page containing `addr`, allocated zero-filled if
+    /// absent, for bulk loaders (the trace memory-image decoder) that
+    /// fill a whole page in place.
+    pub fn page_mut(&mut self, addr: u64) -> &mut [u64; Self::PAGE_WORDS] {
+        let (page, _) = Self::split(addr);
+        let slot = self.ensure_page(page);
+        &mut self.pages[slot as usize]
     }
 
     /// Reads `n` contiguous words starting at `addr`.
@@ -202,6 +202,18 @@ mod tests {
         let vals: Vec<u64> = (0..8).collect();
         m.write_words(base, &vals);
         assert_eq!(m.read_words(base, 8), vals);
+        assert_eq!(m.touched_pages(), 2);
+    }
+
+    #[test]
+    fn page_mut_fills_a_page_in_place() {
+        let mut m = SparseMemory::new();
+        m.write_u64(3 * PAGE_BYTES + 8, 5);
+        let page = m.page_mut(3 * PAGE_BYTES + 100);
+        assert_eq!(page[1], 5, "an existing page is returned, not replaced");
+        page[WORDS_PER_PAGE - 1] = 9;
+        assert!(m.page_mut(7 * PAGE_BYTES).iter().all(|&w| w == 0));
+        assert_eq!(m.read_u64(4 * PAGE_BYTES - 8), 9);
         assert_eq!(m.touched_pages(), 2);
     }
 

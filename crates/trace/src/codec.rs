@@ -111,30 +111,51 @@ pub(crate) fn encode_inst(buf: &mut Vec<u8>, st: &mut DeltaState, inst: &Retired
 #[inline]
 fn read_reg(buf: &[u8], pos: &mut usize) -> Result<Reg, TraceError> {
     let Some(&b) = buf.get(*pos) else {
-        return Err(TraceError::Corrupt(
-            "register byte runs off chunk end".into(),
-        ));
+        return Err(corrupt("register byte runs off chunk end"));
     };
     *pos += 1;
-    Reg::from_index(b as usize)
-        .ok_or_else(|| TraceError::Corrupt(format!("register index {b} out of range")))
+    Reg::from_index(b as usize).ok_or_else(|| bad_register(b))
+}
+
+/// Error constructors, kept out of line so the decoder's hot path stays
+/// small enough to inline.
+#[cold]
+#[inline(never)]
+fn corrupt(msg: &'static str) -> TraceError {
+    TraceError::Corrupt(msg.into())
+}
+
+#[cold]
+#[inline(never)]
+fn bad_register(b: u8) -> TraceError {
+    TraceError::Corrupt(format!("register index {b} out of range"))
+}
+
+#[cold]
+#[inline(never)]
+fn bad_opcode(op: u8) -> TraceError {
+    TraceError::Corrupt(format!("invalid opcode byte {op:#04x}"))
 }
 
 /// Decodes one instruction from `buf` at `*pos`, updating `st`.
+///
+/// Forced inline, together with [`read_u64`] and the reader's
+/// `decode_one`: left to itself the compiler outlines the decoder, and
+/// replay decode then runs at about a third of the speed (the result
+/// travels through memory at every call level).
+#[inline(always)]
 pub(crate) fn decode_inst(
     buf: &[u8],
     pos: &mut usize,
     st: &mut DeltaState,
 ) -> Result<RetiredInst, TraceError> {
     let Some(&op) = buf.get(*pos) else {
-        return Err(TraceError::Corrupt("opcode byte runs off chunk end".into()));
+        return Err(corrupt("opcode byte runs off chunk end"));
     };
     *pos += 1;
     let code = op & 0x0F;
     if code > K_OTHER || op & 0x80 != 0 {
-        return Err(TraceError::Corrupt(format!(
-            "invalid opcode byte {op:#04x}"
-        )));
+        return Err(bad_opcode(op));
     }
     let pc = undelta(st.prev_pc, read_u64(buf, pos)?);
     let dst = if op & FLAG_DST != 0 {
@@ -155,9 +176,7 @@ pub(crate) fn decode_inst(
     let kind = match code {
         K_ALU => {
             let Some(&latency) = buf.get(*pos) else {
-                return Err(TraceError::Corrupt(
-                    "latency byte runs off chunk end".into(),
-                ));
+                return Err(corrupt("latency byte runs off chunk end"));
             };
             *pos += 1;
             InstKind::Alu { latency }

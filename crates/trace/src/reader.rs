@@ -23,7 +23,9 @@ use crate::{
 pub struct TraceReader<R: Read> {
     r: R,
     header: TraceHeader,
-    /// Current instruction frame payload (count prefix stripped).
+    /// The payload of the frame read last. One buffer serves every
+    /// frame; while an instruction frame is being decoded it holds that
+    /// frame, count prefix included.
     chunk: Vec<u8>,
     pos: usize,
     chunk_insts_left: u32,
@@ -49,18 +51,19 @@ impl<R: Read> TraceReader<R> {
             return Err(TraceError::UnsupportedVersion(version));
         }
         let mut bytes_read = 12u64;
-        let (tag, payload) = read_frame(&mut r, &mut bytes_read)?
+        let mut chunk = Vec::new();
+        let tag = read_frame(&mut r, &mut bytes_read, &mut chunk)?
             .ok_or(TraceError::Truncated("missing header frame"))?;
         if tag != FRAME_HEADER {
             return Err(TraceError::Corrupt(format!(
                 "expected header frame, found tag {tag:#04x}"
             )));
         }
-        let header = parse_header(&payload)?;
+        let header = parse_header(&chunk)?;
         Ok(TraceReader {
             r,
             header,
-            chunk: Vec::new(),
+            chunk,
             pos: 0,
             chunk_insts_left: 0,
             state: DeltaState::new(),
@@ -96,7 +99,7 @@ impl<R: Read> TraceReader<R> {
         );
         let mut mem = SparseMemory::new();
         loop {
-            let Some((tag, payload)) = read_frame(&mut self.r, &mut self.bytes_read)? else {
+            let Some(tag) = read_frame(&mut self.r, &mut self.bytes_read, &mut self.chunk)? else {
                 return Err(TraceError::Truncated("missing end frame"));
             };
             if tag != FRAME_MEM {
@@ -104,8 +107,8 @@ impl<R: Read> TraceReader<R> {
                 // memory section is consumed eagerly: it is either the
                 // first instruction chunk or the end frame.
                 match tag {
-                    FRAME_INST => self.load_inst_chunk(payload)?,
-                    FRAME_END => self.check_end(&payload)?,
+                    FRAME_INST => self.load_inst_chunk()?,
+                    FRAME_END => self.check_end()?,
                     _ => {
                         return Err(TraceError::Corrupt(format!(
                             "unexpected frame tag {tag:#04x}"
@@ -113,37 +116,41 @@ impl<R: Read> TraceReader<R> {
                     }
                 }
                 self.memory_done = true;
+                // Memory frames are the largest; do not hold their
+                // buffer through the instruction stream.
+                self.chunk.shrink_to_fit();
                 return Ok(mem);
             }
-            decode_memory_frame(&payload, &mut mem)?;
+            decode_memory_frame(&self.chunk, &mut mem)?;
         }
     }
 
-    fn load_inst_chunk(&mut self, payload: Vec<u8>) -> Result<(), TraceError> {
-        if payload.len() < 4 {
+    /// Starts decoding the instruction frame just read into `chunk`.
+    fn load_inst_chunk(&mut self) -> Result<(), TraceError> {
+        let Some(prefix) = self.chunk.get(..4) else {
             return Err(TraceError::Corrupt(
                 "instruction frame smaller than its count prefix".into(),
             ));
-        }
-        let count = u32::from_le_bytes(payload[..4].try_into().expect("4 bytes"));
+        };
+        let count = u32::from_le_bytes(prefix.try_into().expect("4 bytes"));
         if count == 0 {
             return Err(TraceError::Corrupt("empty instruction frame".into()));
         }
-        self.chunk = payload;
         self.pos = 4;
         self.chunk_insts_left = count;
         self.state = DeltaState::new();
         Ok(())
     }
 
-    fn check_end(&mut self, payload: &[u8]) -> Result<(), TraceError> {
-        if payload.len() != 8 {
+    /// Validates the end frame just read into `chunk`.
+    fn check_end(&mut self) -> Result<(), TraceError> {
+        let Ok(total) = <[u8; 8]>::try_from(&self.chunk[..]) else {
             return Err(TraceError::Corrupt(format!(
                 "end frame payload is {} bytes, expected 8",
-                payload.len()
+                self.chunk.len()
             )));
-        }
-        let total = u64::from_le_bytes(payload.try_into().expect("8 bytes"));
+        };
+        let total = u64::from_le_bytes(total);
         if total != self.decoded_insts || total != self.header.insts {
             return Err(TraceError::Corrupt(format!(
                 "instruction count mismatch: header {}, end frame {}, decoded {}",
@@ -164,7 +171,7 @@ impl<R: Read> TraceReader<R> {
             if self.chunk_insts_left > 0 {
                 return Ok(true);
             }
-            let (tag, payload) = read_frame(&mut self.r, &mut self.bytes_read)?
+            let tag = read_frame(&mut self.r, &mut self.bytes_read, &mut self.chunk)?
                 .ok_or(TraceError::Truncated("missing end frame"))?;
             match tag {
                 FRAME_MEM if !self.memory_done => {
@@ -172,15 +179,15 @@ impl<R: Read> TraceReader<R> {
                     // but the frame is still checksum-validated (done in
                     // read_frame) and structurally decoded.
                     let mut scratch = SparseMemory::new();
-                    decode_memory_frame(&payload, &mut scratch)?;
+                    decode_memory_frame(&self.chunk, &mut scratch)?;
                 }
                 FRAME_INST => {
                     self.memory_done = true;
-                    self.load_inst_chunk(payload)?;
+                    self.load_inst_chunk()?;
                 }
                 FRAME_END => {
                     self.memory_done = true;
-                    self.check_end(&payload)?;
+                    self.check_end()?;
                 }
                 _ => {
                     return Err(TraceError::Corrupt(format!(
@@ -194,7 +201,8 @@ impl<R: Read> TraceReader<R> {
     /// Decodes one instruction out of the current chunk (which must hold
     /// one — see [`refill`](Self::refill)), maintaining the counters and
     /// the frame-exhaustion check exactly like the one-at-a-time path.
-    #[inline]
+    /// Forced inline for the reason given on [`decode_inst`].
+    #[inline(always)]
     fn decode_one(&mut self) -> Result<RetiredInst, TraceError> {
         let inst = decode_inst(&self.chunk, &mut self.pos, &mut self.state)?;
         self.chunk_insts_left -= 1;
@@ -343,13 +351,13 @@ fn decode_memory_frame(payload: &[u8], mem: &mut SparseMemory) -> Result<(), Tra
     let count = u16::from_le_bytes(payload[..2].try_into().expect("2 bytes")) as usize;
     let mut pos = 2;
     let mut page = 0u64;
-    let mut words = [0u64; SparseMemory::PAGE_WORDS];
     for _ in 0..count {
         page = page.wrapping_add(read_u64(payload, &mut pos)?);
-        for w in words.iter_mut() {
+        // Words decode straight into the page's storage; on an error the
+        // half-filled image is discarded with the rest of the read.
+        for w in mem.page_mut(page.wrapping_mul(4096)).iter_mut() {
             *w = read_u64(payload, &mut pos)?;
         }
-        mem.write_words(page * 4096, &words);
     }
     if pos != payload.len() {
         return Err(TraceError::Corrupt(format!(
@@ -360,12 +368,14 @@ fn decode_memory_frame(payload: &[u8], mem: &mut SparseMemory) -> Result<(), Tra
     Ok(())
 }
 
-/// Reads one frame: `Ok(None)` at a clean EOF on the tag byte,
-/// `Err(Truncated)` if the stream dies inside the frame.
+/// Reads one frame's payload into `payload` (reusing its allocation)
+/// and returns the frame's tag: `Ok(None)` at a clean EOF on the tag
+/// byte, `Err(Truncated)` if the stream dies inside the frame.
 fn read_frame<R: Read>(
     r: &mut R,
     bytes_read: &mut u64,
-) -> Result<Option<(u8, Vec<u8>)>, TraceError> {
+    payload: &mut Vec<u8>,
+) -> Result<Option<u8>, TraceError> {
     let mut tag = [0u8; 1];
     loop {
         match r.read(&mut tag) {
@@ -386,9 +396,11 @@ fn read_frame<R: Read>(
     let mut crc4 = [0u8; 4];
     read_exact_or(r, &mut crc4, "frame checksum")?;
     let expect = u32::from_le_bytes(crc4);
-    let mut payload = vec![0u8; len as usize];
-    read_exact_or(r, &mut payload, "frame payload")?;
-    let got = crc32(&payload);
+    // Growing zero-fills only the new tail; `read_exact_or` overwrites
+    // the rest.
+    payload.resize(len as usize, 0);
+    read_exact_or(r, payload, "frame payload")?;
+    let got = crc32(payload);
     if got != expect {
         let frame = match tag[0] {
             FRAME_HEADER => "header",
@@ -400,7 +412,7 @@ fn read_frame<R: Read>(
         return Err(TraceError::ChecksumMismatch { frame, expect, got });
     }
     *bytes_read += 9 + len as u64;
-    Ok(Some((tag[0], payload)))
+    Ok(Some(tag[0]))
 }
 
 /// `read_exact` with EOF mapped to [`TraceError::Truncated`].

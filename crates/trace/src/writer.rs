@@ -79,7 +79,9 @@ impl<W: Write> TraceWriter<W> {
         );
         let pages = mem.pages_sorted();
         for group in pages.chunks(PAGES_PER_FRAME) {
-            let mut payload = Vec::with_capacity(16 + group.len() * 600);
+            // Worst case: ten varint bytes per page delta and per word.
+            let mut payload =
+                Vec::with_capacity(2 + group.len() * 10 * (1 + SparseMemory::PAGE_WORDS));
             payload.extend_from_slice(&(group.len() as u16).to_le_bytes());
             let mut prev_page = 0u64;
             for &(addr, words) in group {
