@@ -92,67 +92,6 @@ impl TraceBench {
     }
 }
 
-/// One concurrency level of the `dol serve` saturation benchmark.
-#[derive(Debug, Clone, Copy)]
-pub struct ServeLevel {
-    /// Concurrent clients issuing requests.
-    pub clients: usize,
-    /// Requests that completed successfully.
-    pub completed: u64,
-    /// Requests the server rejected with backpressure (`Busy`).
-    pub rejected: u64,
-    /// Wall-clock seconds for the whole level.
-    pub wall_s: f64,
-    /// Median completed-request latency in milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile completed-request latency in milliseconds.
-    pub p99_ms: f64,
-}
-
-impl ServeLevel {
-    /// Completed requests per second across the level.
-    pub fn req_per_s(&self) -> f64 {
-        if self.wall_s > 0.0 {
-            self.completed as f64 / self.wall_s
-        } else {
-            0.0
-        }
-    }
-}
-
-/// The `dol serve` saturation benchmark (`run_all --bench-serve`): one
-/// resident server, increasing numbers of concurrent clients each
-/// issuing warm smoke-sweep requests.
-#[derive(Debug, Clone)]
-pub struct ServeBench {
-    /// Resident scheduler worker threads.
-    pub workers: usize,
-    /// Job-queue capacity.
-    pub queue_cap: usize,
-    /// Wall seconds for the first (cold-cache) request.
-    pub cold_wall_s: f64,
-    /// Instructions the cold request simulated (> 0 by construction).
-    pub cold_sim_insts: u64,
-    /// Wall seconds for the second (warm-cache) request.
-    pub warm_wall_s: f64,
-    /// Instructions the warm request simulated — the resident caches
-    /// make this strictly smaller than the cold delta.
-    pub warm_sim_insts: u64,
-    /// Saturation sweep, one entry per client count.
-    pub levels: Vec<ServeLevel>,
-}
-
-impl ServeBench {
-    /// Peak completed-requests-per-second across the levels — the
-    /// headline rate the serve floor gates on.
-    pub fn peak_req_per_s(&self) -> f64 {
-        self.levels
-            .iter()
-            .map(ServeLevel::req_per_s)
-            .fold(0.0, f64::max)
-    }
-}
-
 /// A full `run_all` timing report.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
@@ -168,8 +107,6 @@ pub struct BenchReport {
     /// Trace-decode throughput, present when workloads were replayed
     /// from `dol-trace-v1` files rather than captured live.
     pub trace: Option<TraceBench>,
-    /// `dol serve` saturation results, present when `--bench-serve` ran.
-    pub serve: Option<ServeBench>,
 }
 
 impl BenchReport {
@@ -237,35 +174,6 @@ impl BenchReport {
                 t.insts_per_s()
             ));
         }
-        if let Some(sv) = &self.serve {
-            s.push_str(&format!(
-                "  \"serve\": {{\"workers\": {}, \"queue_cap\": {}, \
-                 \"cold_wall_s\": {:.3}, \"cold_sim_insts\": {}, \
-                 \"warm_wall_s\": {:.3}, \"warm_sim_insts\": {}, \"levels\": [\n",
-                sv.workers,
-                sv.queue_cap,
-                sv.cold_wall_s,
-                sv.cold_sim_insts,
-                sv.warm_wall_s,
-                sv.warm_sim_insts
-            ));
-            for (i, l) in sv.levels.iter().enumerate() {
-                s.push_str(&format!(
-                    "    {{\"clients\": {}, \"completed\": {}, \"rejected\": {}, \
-                     \"wall_s\": {:.3}, \"req_per_s\": {:.2}, \"p50_ms\": {:.2}, \
-                     \"p99_ms\": {:.2}}}{}\n",
-                    l.clients,
-                    l.completed,
-                    l.rejected,
-                    l.wall_s,
-                    l.req_per_s(),
-                    l.p50_ms,
-                    l.p99_ms,
-                    if i + 1 < sv.levels.len() { "," } else { "" }
-                ));
-            }
-            s.push_str("  ]},\n");
-        }
         s.push_str("  \"drivers\": [\n");
         for (i, d) in self.drivers.iter().enumerate() {
             s.push_str(&format!(
@@ -314,33 +222,6 @@ pub fn parse_driver_floor(json: &str, id: &str) -> Option<f64> {
     // driver iff it appears before the record's closing newline.
     let line = json.split(&needle).nth(1)?.split('\n').next()?;
     scan_rate(line)
-}
-
-/// Extracts the peak serve-saturation `req_per_s` from a `dol-bench-v1`
-/// document. Returns `None` when the document has no `serve` object —
-/// floors recorded before the serve benchmark existed simply don't gate
-/// it.
-pub fn parse_serve_floor(json: &str) -> Option<f64> {
-    let serve = json.split("\"serve\"").nth(1)?;
-    // Stop at the drivers array so a rate can never leak in from a later
-    // section; `req_per_s` only appears in serve levels anyway.
-    let serve = serve.split("\"drivers\"").next()?;
-    serve
-        .split("\"req_per_s\"")
-        .skip(1)
-        .filter_map(|frag| {
-            let num: String = frag
-                .chars()
-                .skip_while(|c| *c == ':' || c.is_whitespace())
-                .take_while(|c| {
-                    c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e' || *c == '+'
-                })
-                .collect();
-            num.parse::<f64>().ok()
-        })
-        .fold(None, |best: Option<f64>, rate| {
-            Some(best.map_or(rate, |b| b.max(rate)))
-        })
 }
 
 fn scan_rate(fragment: &str) -> Option<f64> {
@@ -439,7 +320,7 @@ pub fn parse_report(json: &str) -> Option<ParsedReport> {
     let total_line = json.split("\"total\"").nth(1)?.split('\n').next()?;
     let mut drivers = Vec::new();
     // Driver records are the lines with an "id" field after the
-    // "drivers" array opens; serve levels carry no "id".
+    // "drivers" array opens.
     let body = json.split("\"drivers\"").nth(1).unwrap_or("");
     for line in body.lines() {
         let Some(after_id) = line.split("\"id\": \"").nth(1) else {
@@ -505,7 +386,6 @@ mod tests {
                 },
             ],
             trace: None,
-            serve: None,
         }
     }
 
@@ -564,53 +444,6 @@ mod tests {
         // The floor scanner still picks up the *total* rate, not the
         // trace-decode rate.
         assert!((parse_floor(&json).unwrap() - 3_000_000.0).abs() < 0.5);
-    }
-
-    #[test]
-    fn serve_section_serializes_and_floors_on_the_peak_rate() {
-        let mut r = report();
-        r.serve = Some(ServeBench {
-            workers: 4,
-            queue_cap: 16,
-            cold_wall_s: 2.0,
-            cold_sim_insts: 1_000_000,
-            warm_wall_s: 0.2,
-            warm_sim_insts: 0,
-            levels: vec![
-                ServeLevel {
-                    clients: 1,
-                    completed: 8,
-                    rejected: 0,
-                    wall_s: 2.0,
-                    p50_ms: 240.0,
-                    p99_ms: 300.0,
-                },
-                ServeLevel {
-                    clients: 4,
-                    completed: 16,
-                    rejected: 2,
-                    wall_s: 2.0,
-                    p50_ms: 400.0,
-                    p99_ms: 900.0,
-                },
-            ],
-        });
-        assert_eq!(r.serve.as_ref().unwrap().peak_req_per_s(), 8.0);
-        let json = r.to_json();
-        assert!(json.contains("\"serve\": {\"workers\": 4"));
-        assert!(json.contains("\"clients\": 4"));
-        assert!(json.contains("\"rejected\": 2"));
-        // The serve floor picks the peak level's rate...
-        assert!((parse_serve_floor(&json).unwrap() - 8.0).abs() < 1e-9);
-        // ...without disturbing the existing total / driver floors.
-        assert!((parse_floor(&json).unwrap() - 3_000_000.0).abs() < 0.5);
-        assert!(parse_driver_floor(&json, "fig08").is_some());
-    }
-
-    #[test]
-    fn serve_floor_is_absent_without_a_serve_section() {
-        assert_eq!(parse_serve_floor(&report().to_json()), None);
-        assert_eq!(parse_serve_floor(""), None);
     }
 
     #[test]
@@ -693,7 +526,37 @@ mod tests {
     }
 
     #[test]
-    fn parse_report_handles_serve_sections_and_cached_drivers() {
+    fn committed_bench_documents_parse_and_the_floor_is_unchanged() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        let mut documents = 0;
+        for entry in std::fs::read_dir(&dir).expect("results/ is readable") {
+            let path = entry.expect("directory entry").path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if name.starts_with("BENCH_") && name.ends_with(".json") {
+                let json = std::fs::read_to_string(&path).expect("document is readable");
+                assert!(parse_report(&json).is_some(), "{name} does not parse");
+                documents += 1;
+            }
+        }
+        assert!(documents > 0, "no BENCH_*.json under {}", dir.display());
+        // The values every remaining gate reads from the floor.
+        let floor = std::fs::read_to_string(dir.join("BENCH_floor.json")).expect("floor");
+        assert_eq!(parse_floor(&floor), Some(6_333_025.8));
+        assert_eq!(parse_driver_floor(&floor, "multicore"), Some(3_903_444.5));
+        assert_eq!(
+            parse_total_phases(&floor),
+            Some(PhaseSplit {
+                capture_s: 0.2202,
+                classify_s: 0.0339,
+                simulate_s: 1.8752,
+                metrics_s: 0.0100,
+                render_s: 0.0001,
+            })
+        );
+    }
+
+    #[test]
+    fn parse_report_keeps_cached_drivers() {
         let mut r = report();
         r.drivers.push(DriverBench {
             id: "table2",
@@ -702,24 +565,7 @@ mod tests {
             cached: true,
             phases: PhaseSplit::default(),
         });
-        r.serve = Some(ServeBench {
-            workers: 4,
-            queue_cap: 16,
-            cold_wall_s: 2.0,
-            cold_sim_insts: 1_000_000,
-            warm_wall_s: 0.2,
-            warm_sim_insts: 0,
-            levels: vec![ServeLevel {
-                clients: 1,
-                completed: 8,
-                rejected: 0,
-                wall_s: 2.0,
-                p50_ms: 240.0,
-                p99_ms: 300.0,
-            }],
-        });
         let parsed = parse_report(&r.to_json()).expect("parsable");
-        // Serve levels must not leak into the driver list.
         assert_eq!(parsed.drivers.len(), 3);
         assert!(parsed.driver("table2").expect("present").cached);
     }

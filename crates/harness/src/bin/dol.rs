@@ -9,30 +9,21 @@
 //! dol trace verify <file.dolt>...              # full decode, checksums checked
 //! dol trace run --trace <file.dolt> --prefetcher TPC   # streaming replay
 //! dol bench diff <before.json> <after.json>    # compare two bench reports
-//! dol serve [--socket PATH] [--jobs N] [--queue-cap N]   # resident service
-//! dol client <ping|sweep|run|replay|cancel|shutdown> [--socket PATH] ...
 //! ```
-//!
-//! `dol serve` keeps one process resident behind a Unix socket
-//! (`dol-rpc-v1`); `dol client` talks to it. A client sweep streams the
-//! same bytes to stdout that `run_all` with the same plan prints —
-//! asserted by CI — but repeated requests are served from the resident
-//! caches.
 
+use std::fmt::Write as _;
 use std::fs::File;
-use std::io::{BufReader, Write};
-use std::path::{Path, PathBuf};
+use std::io::BufReader;
+use std::num::NonZeroU64;
+use std::path::Path;
 
 use dol_core::NoPrefetcher;
 use dol_cpu::{System, SystemConfig, Workload};
-use dol_harness::serve::client as rpc;
-use dol_harness::serve::ops;
-use dol_harness::serve::protocol::{ReplayRequest, Request, RunRequest, SweepRequest};
-use dol_harness::serve::server::{ServeOptions, Server, DEFAULT_QUEUE_CAP};
-use dol_harness::{prefetchers, sweep, traces, RunPlan};
+use dol_harness::runner::single_core;
+use dol_harness::{prefetchers, traces, AppRun, BaselineRun, RunPlan};
 use dol_mem::{CacheLevel, NullSink};
-use dol_metrics::{StreamingMetrics, TextTable};
-use dol_trace::TraceReader;
+use dol_metrics::{scope, StreamingMetrics, TextTable};
+use dol_trace::{ReplaySource, TraceReader};
 
 fn usage() -> ! {
     eprintln!(
@@ -41,44 +32,36 @@ fn usage() -> ! {
          dol trace record (--workload <name> | --all) --dir <dir> [--insts N] [--seed S] \
          [--smoke]\n  dol trace info <file.dolt>\n  dol trace verify <file.dolt>...\n  \
          dol trace run --trace <file.dolt> --prefetcher <config>\n  \
-         dol bench diff <before.json> <after.json>\n  \
-         dol serve [--socket PATH] [--jobs N] [--queue-cap N]\n  \
-         dol client ping|shutdown [--socket PATH]\n  \
-         dol client sweep [--socket PATH] [--smoke] [--jobs N] [--bench-out PATH]\n  \
-         dol client run --workload <name> --prefetcher <config> [--insts N] [--seed S]\n  \
-         dol client replay --trace <file.dolt> --prefetcher <config>\n  \
-         dol client cancel --job <id> [--socket PATH]\n\
+         dol bench diff <before.json> <after.json>\n\
          \nconfigs: none, TPC, T2, P1, C1, T2+P1, TPC-plainPC, {} and TPC+<mono> / TPC|<mono>",
         dol_baselines::registry::MONOLITHIC_NAMES.join(", ")
     );
     std::process::exit(2);
 }
 
+/// Reports an input that parsed but cannot be run on one stderr line and
+/// exits with status 2, the status of a usage error.
+fn refuse(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
 struct Args {
     workload: Option<String>,
     prefetcher: Option<String>,
-    insts: u64,
+    /// `--insts`, when given.
+    insts: Option<NonZeroU64>,
     seed: u64,
     dir: Option<String>,
     trace: Option<String>,
     all: bool,
     smoke: bool,
-    socket: Option<String>,
-    jobs: Option<usize>,
-    queue_cap: Option<usize>,
-    job: Option<u64>,
-    bench_out: Option<String>,
 }
 
 impl Args {
-    /// `--socket`, else `DOL_SOCKET`, else a per-user default under the
-    /// system temp dir.
-    fn socket_path(&self) -> PathBuf {
-        self.socket
-            .clone()
-            .or_else(|| std::env::var("DOL_SOCKET").ok())
-            .map(PathBuf::from)
-            .unwrap_or_else(|| std::env::temp_dir().join("dol-serve.sock"))
+    /// The instruction budget: `--insts`, else the full plan's 1 M.
+    fn insts(&self) -> u64 {
+        self.insts.map_or(RunPlan::full().insts, NonZeroU64::get)
     }
 }
 
@@ -86,17 +69,12 @@ fn parse(args: &[String]) -> Args {
     let mut out = Args {
         workload: None,
         prefetcher: None,
-        insts: 1_000_000,
+        insts: None,
         seed: 2018,
         dir: None,
         trace: None,
         all: false,
         smoke: false,
-        socket: None,
-        jobs: None,
-        queue_cap: None,
-        job: None,
-        bench_out: None,
     };
     let mut i = 0;
     while i < args.len() {
@@ -110,10 +88,13 @@ fn parse(args: &[String]) -> Args {
                 i += 2;
             }
             "--insts" | "-n" => {
-                out.insts = args
+                let n: u64 = args
                     .get(i + 1)
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage());
+                out.insts = Some(NonZeroU64::new(n).unwrap_or_else(|| {
+                    refuse("invalid --insts 0: expected at least 1 instruction")
+                }));
                 i += 2;
             }
             "--seed" | "-s" => {
@@ -139,35 +120,6 @@ fn parse(args: &[String]) -> Args {
                 out.smoke = true;
                 i += 1;
             }
-            "--socket" => {
-                out.socket = args.get(i + 1).cloned();
-                i += 2;
-            }
-            "--jobs" | "-j" => {
-                out.jobs = args.get(i + 1).and_then(|v| v.parse().ok());
-                if out.jobs.is_none() {
-                    usage();
-                }
-                i += 2;
-            }
-            "--queue-cap" => {
-                out.queue_cap = args.get(i + 1).and_then(|v| v.parse().ok());
-                if out.queue_cap.is_none() {
-                    usage();
-                }
-                i += 2;
-            }
-            "--job" => {
-                out.job = args.get(i + 1).and_then(|v| v.parse().ok());
-                if out.job.is_none() {
-                    usage();
-                }
-                i += 2;
-            }
-            "--bench-out" => {
-                out.bench_out = args.get(i + 1).cloned();
-                i += 2;
-            }
             _ => usage(),
         }
     }
@@ -176,8 +128,7 @@ fn parse(args: &[String]) -> Args {
 
 fn capture(name: &str, insts: u64, seed: u64) -> Workload {
     let Some(spec) = dol_workloads::by_name(name) else {
-        eprintln!("unknown workload `{name}`; try `dol list`");
-        std::process::exit(2);
+        refuse(&format!("unknown workload `{name}`; try `dol list`"))
     };
     Workload::capture(spec.build_vm(seed), insts).expect("workload runs")
 }
@@ -196,22 +147,74 @@ fn cmd_run(a: Args) {
     let (Some(workload), Some(config)) = (a.workload.as_deref(), a.prefetcher.as_deref()) else {
         usage()
     };
-    // Shared with `dol serve`: the server renders the identical report
-    // for a `dol client run` of the same workload/config/budget.
-    match ops::render_run(workload, config, a.insts, a.seed) {
+    match render_run(workload, config, a.insts(), a.seed) {
         Ok(text) => print!("{text}"),
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
+        Err(msg) => refuse(&msg),
     }
+}
+
+/// Runs `workload` under `config` and renders the `dol run` report.
+fn render_run(workload: &str, config: &str, insts: u64, seed: u64) -> Result<String, String> {
+    let Some(spec) = dol_workloads::by_name(workload) else {
+        return Err(format!("unknown workload `{workload}`; try `dol list`"));
+    };
+    if prefetchers::build(config).is_none() {
+        return Err(format!("unknown prefetcher `{config}`; try `dol list`"));
+    }
+    let plan = RunPlan {
+        insts,
+        seed,
+        ..RunPlan::smoke()
+    };
+    let sys = single_core();
+    let base = BaselineRun::capture(&spec, &plan, &sys);
+    let run = AppRun::run(&base, config, &sys);
+    let r = &run.result;
+    let b = &base.result;
+    let acc = run.metrics.accuracy_at(CacheLevel::L1, None);
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "workload {workload}: {} insts, seed {seed}",
+        r.instructions
+    );
+    let _ = writeln!(
+        out,
+        "baseline: {} cycles (IPC {:.2}), {} L1 misses, {} DRAM lines",
+        b.cycles,
+        b.ipc(),
+        b.stats.cores[0].l1_misses,
+        b.stats.dram.total_traffic_lines()
+    );
+    let _ = writeln!(
+        out,
+        "{config}: {} cycles (IPC {:.2}), {} L1 misses, {} DRAM lines",
+        r.cycles,
+        r.ipc(),
+        r.stats.cores[0].l1_misses,
+        r.stats.dram.total_traffic_lines()
+    );
+    let _ = writeln!(
+        out,
+        "speedup {:.3}x | traffic {:.3}x | scope {:.2} | eff. accuracy {:.2} \
+         ({} issued / {} useful / {} unused)",
+        b.cycles as f64 / r.cycles as f64,
+        r.stats.dram.total_traffic_lines() as f64
+            / b.stats.dram.total_traffic_lines().max(1) as f64,
+        scope(&base.fp_l1, run.metrics.prefetched_lines_all()),
+        acc.effective_accuracy(),
+        acc.issued,
+        acc.useful,
+        acc.unused
+    );
+    Ok(out)
 }
 
 fn cmd_compare(a: Args) {
     let Some(workload) = a.workload.as_deref() else {
         usage()
     };
-    let w = capture(workload, a.insts, a.seed);
+    let w = capture(workload, a.insts(), a.seed);
     let sys = System::new(SystemConfig::isca2018(1));
     let base = sys.run_with_sink(&w, &mut NoPrefetcher, &mut NullSink);
     let mut t = TextTable::new(vec![
@@ -238,7 +241,7 @@ fn cmd_compare(a: Args) {
     }
     println!(
         "{workload} ({} insts, seed {}):\n{}",
-        a.insts,
+        a.insts(),
         a.seed,
         t.render()
     );
@@ -249,20 +252,22 @@ fn cmd_trace_record(a: Args) {
     let Some(dir) = a.dir.as_deref() else { usage() };
     let dir = Path::new(dir);
     let mut plan = if a.smoke {
+        if a.insts.is_some() {
+            refuse("--insts cannot be combined with --smoke, which records a fixed budget");
+        }
         RunPlan::smoke()
     } else {
-        RunPlan::full()
+        RunPlan {
+            insts: a.insts(),
+            ..RunPlan::full()
+        }
     };
-    if !a.smoke {
-        plan.insts = a.insts;
-    }
     plan.seed = a.seed;
     plan.jobs = 0;
     match (a.workload.as_deref(), a.all) {
         (Some(name), false) => {
             let Some(spec) = dol_workloads::by_name(name) else {
-                eprintln!("unknown workload `{name}`; try `dol list`");
-                std::process::exit(2);
+                refuse(&format!("unknown workload `{name}`; try `dol list`"))
             };
             let path = traces::trace_path(dir, name);
             match traces::record(&spec, plan.insts, plan.seed, &path) {
@@ -351,13 +356,12 @@ fn cmd_trace_verify(paths: &[String]) {
 }
 
 /// `dol trace run`: stream a trace file through the timing model without
-/// ever materializing the instruction stream. Shared with `dol serve`
-/// (`dol client replay` renders the identical report).
+/// ever materializing the instruction stream.
 fn cmd_trace_run(a: Args) {
     let (Some(path), Some(config)) = (a.trace.as_deref(), a.prefetcher.as_deref()) else {
         usage()
     };
-    match ops::render_replay(path, config) {
+    match render_replay(path, config) {
         Ok(text) => print!("{text}"),
         Err(msg) => {
             eprintln!("{msg}");
@@ -366,158 +370,37 @@ fn cmd_trace_run(a: Args) {
     }
 }
 
-/// `dol serve`: bind the socket and stay resident until a client sends
-/// `shutdown`.
-fn cmd_serve(a: Args) {
-    let socket = a.socket_path();
-    let workers = sweep::resolve_jobs(a.jobs).unwrap_or_else(|e| e.exit());
-    let server = match Server::start(ServeOptions {
-        socket: socket.clone(),
-        workers: Some(workers),
-        queue_cap: a.queue_cap.unwrap_or(DEFAULT_QUEUE_CAP),
-    }) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot serve on {}: {e}", socket.display());
-            std::process::exit(1);
-        }
+/// Streams the `dol-trace-v1` file at `path` through the single-core
+/// timing model under `config` and renders the `dol trace run` report.
+fn render_replay(path: &str, config: &str) -> Result<String, String> {
+    let Some(mut p) = prefetchers::build(config) else {
+        return Err(format!("unknown prefetcher `{config}`; try `dol list`"));
     };
-    eprintln!(
-        "dol serve: listening on {} ({} workers, queue {}); stop with `dol client shutdown`",
-        socket.display(),
-        server.workers(),
-        a.queue_cap.unwrap_or(DEFAULT_QUEUE_CAP)
+    let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+    let mut reader = TraceReader::new(BufReader::new(file)).map_err(|e| format!("{path}: {e}"))?;
+    let memory = reader.read_memory().map_err(|e| format!("{path}: {e}"))?;
+    let header = reader.header().clone();
+    let sys: System = single_core();
+    let (r, source) = sys.run_source(ReplaySource::new(reader), &memory, &mut p);
+    if let Some(e) = source.error() {
+        return Err(format!("{path}: replay stopped early: {e}"));
+    }
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "replayed {} ({} insts, seed {}) under {config}",
+        header.name, r.instructions, header.seed
     );
-    server.join();
-    eprintln!("dol serve: drained and stopped");
-}
-
-fn rpc_fail(e: dol_harness::serve::protocol::RpcError) -> ! {
-    eprintln!("dol client: {e}");
-    std::process::exit(1);
-}
-
-fn cmd_client_ping(a: &Args) {
-    match rpc::ping(&a.socket_path()) {
-        Ok(p) => println!(
-            "pong: dol-rpc-v{} — {} workers, queue {}/{} (active {}), {} jobs done",
-            p.version, p.workers, p.queued, p.queue_cap, p.active, p.jobs_done
-        ),
-        Err(e) => rpc_fail(e),
-    }
-}
-
-fn cmd_client_sweep(a: &Args) {
-    let mut plan = if a.smoke {
-        RunPlan::smoke()
-    } else {
-        RunPlan::from_env().unwrap_or_else(|e| e.exit())
-    };
-    if let Some(j) = a.jobs {
-        plan.jobs = j;
-    }
-    let mut req = SweepRequest::from_plan(&plan, a.smoke);
-    req.bench = a.bench_out.is_some();
-    let stdout = std::io::stdout();
-    let summary = match rpc::stream(&a.socket_path(), &Request::Sweep(req), |chunk| {
-        let mut out = stdout.lock();
-        let _ = out.write_all(chunk);
-        let _ = out.flush();
-    }) {
-        Ok(s) => s,
-        Err(e) => rpc_fail(e),
-    };
-    eprintln!(
-        "job {}: {} deviations, {} insts simulated server-side",
-        summary.job, summary.done.deviations, summary.done.sim_insts
+    let _ = writeln!(
+        out,
+        "{} cycles (IPC {:.2}), {} L1 misses, {} DRAM lines, {} prefetches",
+        r.cycles,
+        r.ipc(),
+        r.stats.cores[0].l1_misses,
+        r.stats.dram.total_traffic_lines(),
+        r.stats.cores[0].prefetches
     );
-    if let Some(path) = &a.bench_out {
-        let report = dol_harness::bench::BenchReport {
-            mode: if a.smoke { "smoke" } else { "full" },
-            jobs: dol_harness::sweep::effective_jobs(plan.jobs),
-            repeat: 1,
-            drivers: summary.bench.iter().map(driver_bench).collect(),
-            trace: None,
-            serve: None,
-        };
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("cannot write bench report to {path}: {e}");
-            std::process::exit(2);
-        }
-        eprintln!("bench report written to {path}");
-    }
-}
-
-/// Reconnects a streamed bench record to its driver's static id.
-fn driver_bench(r: &dol_harness::serve::protocol::BenchRecord) -> dol_harness::bench::DriverBench {
-    let id = dol_harness::experiments::drivers()
-        .iter()
-        .map(|(id, _)| *id)
-        .find(|id| *id == r.id)
-        // Unknown ids can only come from a newer server; keep the record.
-        .unwrap_or_else(|| Box::leak(r.id.clone().into_boxed_str()));
-    dol_harness::bench::DriverBench {
-        id,
-        wall_s: r.wall_s,
-        sim_insts: r.sim_insts,
-        cached: r.cached,
-        phases: r.phases,
-    }
-}
-
-fn cmd_client_streamed(a: &Args, req: Request) {
-    let stdout = std::io::stdout();
-    match rpc::stream(&a.socket_path(), &req, |chunk| {
-        let mut out = stdout.lock();
-        let _ = out.write_all(chunk);
-        let _ = out.flush();
-    }) {
-        Ok(_) => {}
-        Err(e) => rpc_fail(e),
-    }
-}
-
-fn cmd_client(argv: &[String]) {
-    let Some(verb) = argv.first().map(String::as_str) else {
-        usage()
-    };
-    let a = parse(&argv[1..]);
-    match verb {
-        "ping" => cmd_client_ping(&a),
-        "shutdown" => match rpc::shutdown(&a.socket_path()) {
-            Ok(()) => eprintln!("server drained and stopped"),
-            Err(e) => rpc_fail(e),
-        },
-        "cancel" => {
-            let Some(job) = a.job else { usage() };
-            match rpc::cancel(&a.socket_path(), job) {
-                Ok(()) => eprintln!("job {job} cancelled"),
-                Err(e) => rpc_fail(e),
-            }
-        }
-        "sweep" => cmd_client_sweep(&a),
-        "run" => {
-            let (Some(workload), Some(config)) = (a.workload.clone(), a.prefetcher.clone()) else {
-                usage()
-            };
-            cmd_client_streamed(
-                &a,
-                Request::Run(RunRequest {
-                    workload,
-                    config,
-                    insts: a.insts,
-                    seed: a.seed,
-                }),
-            );
-        }
-        "replay" => {
-            let (Some(path), Some(config)) = (a.trace.clone(), a.prefetcher.clone()) else {
-                usage()
-            };
-            cmd_client_streamed(&a, Request::Replay(ReplayRequest { path, config }));
-        }
-        _ => usage(),
-    }
+    Ok(out)
 }
 
 fn cmd_trace(argv: &[String]) {
@@ -631,8 +514,35 @@ fn main() {
         Some("compare") => cmd_compare(parse(&argv[1..])),
         Some("trace") => cmd_trace(&argv[1..]),
         Some("bench") => cmd_bench(&argv[1..]),
-        Some("serve") => cmd_serve(parse(&argv[1..])),
-        Some("client") => cmd_client(&argv[1..]),
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn render_run_reports_unknown_names() {
+        assert!(render_run("no_such_workload", "TPC", 1000, 1).is_err());
+        assert!(render_run("stream_sum", "no_such_config", 1000, 1).is_err());
+    }
+
+    #[test]
+    fn render_run_produces_the_cli_report_shape() {
+        let out = render_run("stream_sum", "T2", 20_000, 2018).unwrap();
+        assert!(out.starts_with("workload stream_sum: "));
+        assert!(out.contains("\nbaseline: "));
+        assert!(out.contains("\nT2: "));
+        assert!(out.contains("speedup "));
+        // Warm path: a second identical request is served from the run
+        // caches and renders byte-identically.
+        assert_eq!(render_run("stream_sum", "T2", 20_000, 2018).unwrap(), out);
+    }
+
+    #[test]
+    fn render_replay_reports_a_missing_file() {
+        let err = render_replay("/nonexistent/file.dolt", "TPC").unwrap_err();
+        assert!(err.contains("cannot open"), "{err}");
     }
 }

@@ -27,14 +27,13 @@
 use std::time::Instant;
 
 use dol_harness::bench::{
-    parse_driver_floor, parse_floor, parse_serve_floor, parse_total_phases, BenchReport,
-    DriverBench, TraceBench,
+    parse_driver_floor, parse_floor, parse_total_phases, BenchReport, DriverBench, TraceBench,
 };
 use dol_harness::phase::{timed, totals, Phase};
 use dol_harness::{experiments, RunPlan};
 
 const USAGE: &str = "usage: run_all [--smoke] [--jobs N] [--trace-dir DIR] [--bench-out PATH] \
-                     [--bench-floor PATH] [--bench-repeat N] [--bench-serve]";
+                     [--bench-floor PATH] [--bench-repeat N]";
 
 /// Largest tolerated throughput drop vs the recorded floor.
 const MAX_REGRESSION: f64 = 0.30;
@@ -55,7 +54,6 @@ fn main() {
     let mut bench_out: Option<String> = None;
     let mut bench_floor: Option<String> = None;
     let mut repeat: usize = 1;
-    let mut bench_serve = false;
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
@@ -99,10 +97,6 @@ fn main() {
                 }
                 i += 2;
             }
-            "--bench-serve" => {
-                bench_serve = true;
-                i += 1;
-            }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return;
@@ -137,7 +131,6 @@ fn main() {
         repeat,
         drivers: Vec::new(),
         trace: None,
-        serve: None,
     };
     let decode_before = dol_trace::telemetry::decode_totals();
     let mut deviations = 0;
@@ -212,41 +205,6 @@ fn main() {
             decoded.bytes_per_s() / 1e6,
             decoded.insts_per_s() / 1e6
         );
-    }
-
-    if bench_serve {
-        // All serve-bench chatter goes to stderr: stdout stays
-        // byte-identical with and without the flag.
-        eprintln!("serve bench: starting saturation sweep (clients 1/2/4/8)");
-        match dol_harness::serve::bench::saturation() {
-            Ok(sv) => {
-                eprintln!(
-                    "serve bench: cold {:.2}s ({} insts), warm {:.2}s ({} insts), \
-                     peak {:.2} req/s across {} workers",
-                    sv.cold_wall_s,
-                    sv.cold_sim_insts,
-                    sv.warm_wall_s,
-                    sv.warm_sim_insts,
-                    sv.peak_req_per_s(),
-                    sv.workers
-                );
-                // The whole point of a resident server: the second
-                // identical request must be served from warm caches.
-                if sv.warm_sim_insts >= sv.cold_sim_insts {
-                    eprintln!(
-                        "SERVE CACHE REGRESSION: warm request simulated {} insts, \
-                         cold simulated {}",
-                        sv.warm_sim_insts, sv.cold_sim_insts
-                    );
-                    std::process::exit(1);
-                }
-                bench.serve = Some(sv);
-            }
-            Err(e) => {
-                eprintln!("serve bench failed: {e}");
-                std::process::exit(1);
-            }
-        }
     }
 
     if let Some(path) = &bench_out {
@@ -332,20 +290,6 @@ fn main() {
             );
             if !d.cached && measured < limit {
                 eprintln!("THROUGHPUT REGRESSION: multicore driver more than 30% below its floor");
-                std::process::exit(1);
-            }
-        }
-        // The serve saturation rate gates only when both this run
-        // measured it (--bench-serve) and the floor recorded one.
-        if let (Some(serve_floor), Some(sv)) = (parse_serve_floor(&text), &bench.serve) {
-            let measured = sv.peak_req_per_s();
-            let limit = serve_floor * (1.0 - MAX_REGRESSION);
-            eprintln!(
-                "serve gate: measured {measured:.2} req/s vs floor {serve_floor:.2} req/s \
-                 (fail below {limit:.2})"
-            );
-            if measured < limit {
-                eprintln!("THROUGHPUT REGRESSION: serve peak rate more than 30% below its floor");
                 std::process::exit(1);
             }
         }

@@ -29,7 +29,6 @@ pub mod phase;
 pub mod plan;
 pub mod prefetchers;
 pub mod runner;
-pub mod serve;
 pub mod sweep;
 pub mod traces;
 

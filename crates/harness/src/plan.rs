@@ -1,24 +1,30 @@
 //! Run plans: instruction budgets, seeds and parallelism.
 
+use std::fmt::Debug;
+use std::ops::RangeBounds;
 use std::path::PathBuf;
 use std::str::FromStr;
 
-/// A `DOL_*` environment override whose value is not a number.
+/// A `DOL_*` environment override whose value is not a number, or is a
+/// number outside the range the variable accepts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnvError {
     /// The variable's name.
     pub var: &'static str,
     /// Its value as set.
     pub value: String,
+    /// The accepted range (for example `1..=64`) when the value is a
+    /// number outside it; `None` when it is not a number at all.
+    pub range: Option<String>,
 }
 
 impl std::fmt::Display for EnvError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "invalid {}={:?}: expected a non-negative integer",
-            self.var, self.value
-        )
+        write!(f, "invalid {}={:?}: expected ", self.var, self.value)?;
+        match &self.range {
+            Some(range) => write!(f, "an integer in {range}"),
+            None => write!(f, "a non-negative integer"),
+        }
     }
 }
 
@@ -36,21 +42,27 @@ impl EnvError {
 /// Reads `var` from the process environment. A value that is not
 /// Unicode is passed on lossily, so it fails to parse rather than
 /// reading as unset.
-pub(crate) fn process_env(var: &str) -> Option<String> {
+fn process_env(var: &str) -> Option<String> {
     std::env::var_os(var).map(|v| v.to_string_lossy().into_owned())
 }
 
 /// Parses the numeric override `var` as `lookup` reads it: `Ok(None)`
-/// when it is unset or empty, an [`EnvError`] when it does not parse.
-pub(crate) fn parse_override<T: FromStr>(
+/// when it is unset or empty, an [`EnvError`] when it does not parse or
+/// falls outside `accepted`.
+fn parse_override<T: FromStr + PartialOrd>(
     lookup: &impl Fn(&str) -> Option<String>,
     var: &'static str,
+    accepted: impl RangeBounds<T> + Debug,
 ) -> Result<Option<T>, EnvError> {
-    match lookup(var) {
-        None => Ok(None),
-        Some(v) if v.is_empty() => Ok(None),
-        Some(v) => v.parse().map(Some).map_err(|_| EnvError { var, value: v }),
-    }
+    let Some(value) = lookup(var).filter(|v| !v.is_empty()) else {
+        return Ok(None);
+    };
+    let range = match value.parse() {
+        Ok(n) if accepted.contains(&n) => return Ok(Some(n)),
+        Ok(_) => Some(format!("{accepted:?}")),
+        Err(_) => None,
+    };
+    Err(EnvError { var, value, range })
 }
 
 /// How much to simulate, and with how many workers.
@@ -114,7 +126,9 @@ impl RunPlan {
 
     /// The full plan with `DOL_INSTS` / `DOL_MIXES` / `DOL_JOBS` /
     /// `DOL_TRACE_DIR` environment overrides. A numeric override that is
-    /// set but does not parse is an error, never silently ignored.
+    /// set but does not parse, or falls outside its range (`DOL_INSTS`
+    /// at least 10000, `DOL_MIXES` 1 to 64, `DOL_JOBS` 0 to 256), is an
+    /// error, never silently ignored or clamped.
     pub fn from_env() -> Result<Self, EnvError> {
         Self::from_vars(process_env)
     }
@@ -122,13 +136,13 @@ impl RunPlan {
     /// [`from_env`](Self::from_env) over the variables `lookup` returns.
     pub(crate) fn from_vars(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, EnvError> {
         let mut plan = RunPlan::full();
-        if let Some(n) = parse_override::<u64>(&lookup, "DOL_INSTS")? {
-            plan.insts = n.max(10_000);
+        if let Some(n) = parse_override(&lookup, "DOL_INSTS", 10_000..)? {
+            plan.insts = n;
         }
-        if let Some(n) = parse_override::<usize>(&lookup, "DOL_MIXES")? {
-            plan.mix_count = n.clamp(1, 64);
+        if let Some(n) = parse_override(&lookup, "DOL_MIXES", 1..=64)? {
+            plan.mix_count = n;
         }
-        if let Some(n) = crate::sweep::jobs_override(&lookup)? {
+        if let Some(n) = parse_override(&lookup, "DOL_JOBS", 0..=256)? {
             plan.jobs = n;
         }
         if let Some(v) = lookup("DOL_TRACE_DIR") {
@@ -190,6 +204,16 @@ mod tests {
         ])
         .unwrap();
         assert_eq!((plan.insts, plan.mix_count, plan.jobs), (50_000, 3, 2));
+        // The ends of every accepted range apply unchanged.
+        let low = plan_with(&[
+            ("DOL_INSTS", "10000"),
+            ("DOL_MIXES", "1"),
+            ("DOL_JOBS", "0"),
+        ])
+        .unwrap();
+        assert_eq!((low.insts, low.mix_count, low.jobs), (10_000, 1, 0));
+        let high = plan_with(&[("DOL_MIXES", "64"), ("DOL_JOBS", "256")]).unwrap();
+        assert_eq!((high.mix_count, high.jobs), (64, 256));
         let empty = plan_with(&[("DOL_INSTS", ""), ("DOL_MIXES", ""), ("DOL_JOBS", "")]);
         assert_eq!(empty, Ok(RunPlan::full()));
     }
@@ -201,12 +225,20 @@ mod tests {
             err,
             EnvError {
                 var: "DOL_INSTS",
-                value: "40k".into()
+                value: "40k".into(),
+                range: None,
             }
         );
         assert_eq!(
             err.to_string(),
             "invalid DOL_INSTS=\"40k\": expected a non-negative integer"
+        );
+        // Below the smallest budget is refused, not raised to it.
+        let err = plan_with(&[("DOL_INSTS", "5000")]).unwrap_err();
+        assert_eq!(err.range.as_deref(), Some("10000.."));
+        assert_eq!(
+            err.to_string(),
+            "invalid DOL_INSTS=\"5000\": expected an integer in 10000.."
         );
     }
 
@@ -214,12 +246,26 @@ mod tests {
     fn garbage_dol_mixes_is_an_error() {
         let err = plan_with(&[("DOL_INSTS", "50000"), ("DOL_MIXES", "-1")]).unwrap_err();
         assert_eq!((err.var, err.value.as_str()), ("DOL_MIXES", "-1"));
+        // Out of range is refused, not clamped.
+        for value in ["0", "65"] {
+            let err = plan_with(&[("DOL_MIXES", value)]).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("invalid DOL_MIXES=\"{value}\": expected an integer in 1..=64")
+            );
+        }
     }
 
     #[test]
     fn garbage_dol_jobs_is_an_error() {
         let err = plan_with(&[("DOL_JOBS", "four")]).unwrap_err();
         assert_eq!((err.var, err.value.as_str()), ("DOL_JOBS", "four"));
+        // Out of range is refused, not capped.
+        let err = plan_with(&[("DOL_JOBS", "1000")]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid DOL_JOBS=\"1000\": expected an integer in 0..=256"
+        );
     }
 
     #[test]

@@ -15,8 +15,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::plan::{parse_override, process_env, EnvError};
-
 /// Resolves a job count: `0` means auto-detect from
 /// [`std::thread::available_parallelism`].
 pub fn effective_jobs(jobs: usize) -> usize {
@@ -27,35 +25,6 @@ pub fn effective_jobs(jobs: usize) -> usize {
     } else {
         jobs
     }
-}
-
-/// The `DOL_JOBS` environment override, parsed and clamped — the single
-/// place that env var is interpreted. `RunPlan::from_env`, the sweep
-/// pool, and the `dol serve` scheduler all resolve through here, so a
-/// worker count can never mean different things in different layers.
-/// Returns `Ok(None)` when the variable is unset (callers keep their own
-/// default) and an error when it does not parse; `Some(0)` still means
-/// auto-detect via [`effective_jobs`].
-pub fn env_jobs() -> Result<Option<usize>, EnvError> {
-    jobs_override(&process_env)
-}
-
-/// [`env_jobs`] over the variables `lookup` returns.
-pub(crate) fn jobs_override(
-    lookup: &impl Fn(&str) -> Option<String>,
-) -> Result<Option<usize>, EnvError> {
-    Ok(parse_override::<usize>(lookup, "DOL_JOBS")?.map(|n| n.min(256)))
-}
-
-/// Resolves a requested worker count against the `DOL_JOBS` override and
-/// auto-detection: an explicit `Some(n)` wins, then `DOL_JOBS`, then
-/// auto-detect (`0`). The result is always `>= 1`.
-pub fn resolve_jobs(requested: Option<usize>) -> Result<usize, EnvError> {
-    let jobs = match requested {
-        Some(n) => n,
-        None => env_jobs()?.unwrap_or(0),
-    };
-    Ok(effective_jobs(jobs))
 }
 
 /// Applies `f` to every item, sharding across `jobs` worker threads
@@ -145,14 +114,6 @@ mod tests {
     fn auto_jobs_resolves_to_at_least_one() {
         assert!(effective_jobs(0) >= 1);
         assert_eq!(effective_jobs(5), 5);
-    }
-
-    #[test]
-    fn resolve_jobs_prefers_the_explicit_request() {
-        // An explicit request always wins over auto-detect.
-        assert_eq!(resolve_jobs(Some(3)), Ok(3));
-        assert!(resolve_jobs(None).unwrap() >= 1);
-        assert!(resolve_jobs(Some(0)).unwrap() >= 1, "0 still auto-detects");
     }
 
     #[test]

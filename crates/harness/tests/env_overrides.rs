@@ -1,6 +1,6 @@
-//! A garbage `DOL_INSTS` / `DOL_MIXES` / `DOL_JOBS` value stops a figure
-//! binary with exit status 2 and an error naming the variable and the
-//! value, before any simulation runs.
+//! A garbage or out-of-range `DOL_INSTS` / `DOL_MIXES` / `DOL_JOBS` value
+//! stops a figure binary with exit status 2 and an error naming the
+//! variable and the value, before any simulation runs.
 
 use std::process::Command;
 
@@ -26,14 +26,17 @@ fn assert_refused(var: &str, value: &str) {
 #[test]
 fn garbage_dol_insts_exits_2() {
     assert_refused("DOL_INSTS", "40k");
+    assert_refused("DOL_INSTS", "5000");
 }
 
 #[test]
 fn garbage_dol_mixes_exits_2() {
     assert_refused("DOL_MIXES", "two");
+    assert_refused("DOL_MIXES", "0");
 }
 
 #[test]
 fn garbage_dol_jobs_exits_2() {
     assert_refused("DOL_JOBS", "-3");
+    assert_refused("DOL_JOBS", "1000");
 }

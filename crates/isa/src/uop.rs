@@ -20,8 +20,8 @@
 //!
 //! Decoded programs are memoized in a process-wide content-hash-keyed
 //! cache ([`decode_cached`]): workloads re-captured across bench passes
-//! or served repeatedly by `dol serve` skip the decode. Hits verify full
-//! program equality, so a hash collision can never substitute programs.
+//! skip the decode. Hits verify full program equality, so a hash
+//! collision can never substitute programs.
 
 use std::collections::VecDeque;
 use std::hash::{BuildHasher, Hash, Hasher};

@@ -80,7 +80,7 @@ pub mod telemetry;
 mod varint;
 mod writer;
 
-pub use crc::crc32;
+pub(crate) use crc::crc32;
 pub use reader::{decode_workload, ReplaySource, TraceReader};
 pub use writer::{encode_workload, TraceWriter};
 

@@ -228,7 +228,7 @@ impl<R: Read> TraceReader<R> {
     /// Fills `block` with up to `block.capacity()` instructions in one
     /// batched pass over the chunk slice — the frame bookkeeping runs
     /// once per refill instead of once per instruction, which is what
-    /// keeps decode MB/s off the critical path of replay-heavy serve
+    /// keeps decode MB/s off the critical path of replay-heavy
     /// workloads. An empty block afterwards means end of stream.
     ///
     /// On a decode error the block keeps the instructions decoded before
