@@ -4,9 +4,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use dol_core::{AccessInfo, CompletedPrefetch, PrefetchRequest, Prefetcher, RetireInfo};
-use dol_isa::{
-    InstBlock, InstKind, InstSource, RetiredInst, SparseMemory, Trace, TraceCursor, Vm, VmError,
-};
+use dol_isa::{InstKind, InstSource, RetiredInst, SparseMemory, Trace, TraceCursor, Vm, VmError};
 use dol_mem::{line_of, CacheLevel, DropReason, EventSink, MemorySystem, NullSink, SystemStats};
 
 use crate::{BranchPredictor, DestinationPolicy, SystemConfig};
@@ -33,10 +31,11 @@ impl Workload {
     /// Runs `vm` for up to `max_insts` instructions and captures the
     /// trace and memory image.
     ///
-    /// Executes on the pre-decoded micro-op path ([`Vm::run_uop`]),
-    /// which is bit-identical to the reference interpreter (pinned by
-    /// the `uop_equivalence` tests); use [`Workload::capture_reference`]
-    /// to capture through the interpreter itself.
+    /// Executes on the pre-decoded micro-op path ([`Vm::run_uop`],
+    /// which decodes the program afresh on each call), bit-identical to
+    /// the reference interpreter (pinned by the `uop_equivalence`
+    /// tests); use [`Workload::capture_reference`] to capture through
+    /// the interpreter itself.
     pub fn capture(mut vm: Vm, max_insts: u64) -> Result<Workload, VmError> {
         let trace = vm.run_uop(max_insts)?;
         Ok(Workload {
@@ -332,43 +331,20 @@ impl System {
         result
     }
 
-    /// The shared scheduling loop. Core arbitration is deterministic
-    /// round-robin by timestamp: each iteration steps the non-finished
-    /// core with the smallest dispatch cycle, ties broken by lowest core
-    /// index (`min_by_key` keeps the first minimum). Shared-hierarchy
-    /// state therefore updates in a reproducible order independent of
-    /// caller threading — the byte-identity guarantee the CI determinism
-    /// gate checks across `--jobs` settings.
-    ///
-    /// A single-core run has no arbitration to do, so it takes the
-    /// block-oriented fast path instead: the source decodes into a
-    /// 64-instruction [`InstBlock`] (a bulk copy for in-memory traces)
-    /// and the core retires the whole block in a tight loop, hoisting
-    /// the per-instruction source call, `Option` lookahead juggling, and
-    /// telemetry bucketing out of the retire edge. Both paths retire
-    /// through the same [`retire_one`](Self::retire_one), so they
-    /// perform identical operations in identical order — blocks are a
-    /// throughput vehicle, never a semantic boundary (the
-    /// block-boundary equivalence proptests pin this).
-    fn run_inner<I: InstSource, P: Prefetcher + ?Sized, S: EventSink + ?Sized>(
-        &self,
-        sources: Vec<(I, &SparseMemory)>,
-        prefetchers: &mut [&mut P],
-        sink: &mut S,
-    ) -> (MultiRunResult, Vec<I>) {
-        self.run_inner_blocked(sources, prefetchers, sink, dol_isa::BLOCK_INSTS)
-    }
-
-    /// [`run_inner`](Self::run_inner) with an explicit single-core block
-    /// capacity — exposed (hidden) so block-boundary tests can pin that
-    /// sizes 1, 7, and 64 all reproduce the stepwise schedule exactly.
-    #[doc(hidden)]
-    pub fn run_inner_blocked<'a, I: InstSource, P: Prefetcher + ?Sized, S: EventSink + ?Sized>(
+    /// The scheduling loop, one for every core count. Core arbitration
+    /// is deterministic round-robin by timestamp: each iteration retires
+    /// one instruction on the non-finished core with the smallest
+    /// dispatch cycle, ties broken by lowest core index (`min_by_key`
+    /// keeps the first minimum). Shared-hierarchy state therefore
+    /// updates in a reproducible order independent of caller threading —
+    /// the byte-identity guarantee the CI determinism gate checks across
+    /// `--jobs` settings. A single core takes the same loop, pulling its
+    /// source one instruction per retire.
+    fn run_inner<'a, I: InstSource, P: Prefetcher + ?Sized, S: EventSink + ?Sized>(
         &self,
         sources: Vec<(I, &'a SparseMemory)>,
         prefetchers: &mut [&mut P],
         sink: &mut S,
-        block_cap: usize,
     ) -> (MultiRunResult, Vec<I>) {
         assert_eq!(sources.len(), prefetchers.len(), "one prefetcher per core");
         assert!(
@@ -382,46 +358,22 @@ impl System {
             .collect();
         let mut out_buf = crate::arena::acquire_out_buf();
 
-        if cores.len() == 1 {
-            // Single core: block-oriented retire (see the method docs).
-            let c = &mut cores[0];
-            let p = &mut *prefetchers[0];
-            let mut block = InstBlock::with_capacity(block_cap);
-            if let Some(first) = c.next.take() {
-                // The constructor's one-instruction lookahead retires
-                // first; everything after streams through blocks.
-                c.insts += 1;
-                self.retire_one(0, c, first, p, &mut mem, &mut out_buf, sink);
-                loop {
-                    c.source.next_block(&mut block);
-                    if block.is_empty() {
-                        break;
-                    }
-                    c.insts += block.len() as u64;
-                    for &inst in block.as_slice() {
-                        self.retire_one(0, c, inst, p, &mut mem, &mut out_buf, sink);
-                    }
-                }
-            }
-        } else {
-            // Multi-core: interleave cores by current dispatch cycle.
-            loop {
-                let next = cores
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| !c.done())
-                    .min_by_key(|(_, c)| c.dispatch)
-                    .map(|(i, _)| i);
-                let Some(i) = next else { break };
-                self.step_inst(
-                    i,
-                    &mut cores[i],
-                    &mut *prefetchers[i],
-                    &mut mem,
-                    &mut out_buf,
-                    sink,
-                );
-            }
+        loop {
+            let next = cores
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| !c.done())
+                .min_by_key(|(_, c)| c.dispatch)
+                .map(|(i, _)| i);
+            let Some(i) = next else { break };
+            self.step_inst(
+                i,
+                &mut cores[i],
+                &mut *prefetchers[i],
+                &mut mem,
+                &mut out_buf,
+                sink,
+            );
         }
 
         let per_core: Vec<(u64, u64)> = cores.iter().map(|c| (c.last_retire, c.insts)).collect();
@@ -564,9 +516,12 @@ impl System {
         c.retry_scratch = due;
     }
 
-    /// Advances one instruction through the lookahead (multi-core path;
-    /// the single-core block path pulls whole [`InstBlock`]s instead and
-    /// calls [`retire_one`](Self::retire_one) directly).
+    /// Takes the core's next instruction (refilling the one-instruction
+    /// lookahead from its source) and retires it through the timing
+    /// model: value-callback delivery and retry drain at the current
+    /// dispatch cycle, then width/ROB/LSQ accounting, dependence-limited
+    /// issue, the per-kind completion model, and prefetcher
+    /// training/issue.
     fn step_inst<I: InstSource, P: Prefetcher + ?Sized, S: EventSink + ?Sized>(
         &self,
         core_idx: usize,
@@ -579,26 +534,6 @@ impl System {
         let inst = c.next.take().expect("step_inst on a drained core");
         c.next = c.source.next_inst();
         c.insts += 1;
-        self.retire_one(core_idx, c, inst, prefetcher, mem, out, sink);
-    }
-
-    /// Retires one instruction through the timing model: value-callback
-    /// delivery and retry drain at the current dispatch cycle, then
-    /// width/ROB/LSQ accounting, dependence-limited issue, the
-    /// per-kind completion model, and prefetcher training/issue. Both
-    /// the stepwise and block schedulers funnel through here, so block
-    /// boundaries cannot change simulated behavior.
-    #[allow(clippy::too_many_arguments)] // internal helper threading the run context
-    fn retire_one<I: InstSource, P: Prefetcher + ?Sized, S: EventSink + ?Sized>(
-        &self,
-        core_idx: usize,
-        c: &mut CoreRt<'_, I>,
-        inst: RetiredInst,
-        prefetcher: &mut P,
-        mem: &mut MemorySystem,
-        out: &mut Vec<PrefetchRequest>,
-        sink: &mut S,
-    ) {
         let cfg = &self.cfg.core;
         self.deliver_pending(core_idx, c, prefetcher, mem, out, sink);
         self.drain_retries(core_idx, c, mem, sink);

@@ -10,12 +10,12 @@
 //! analyses have no other inputs — and most figure drivers re-capture
 //! the same handful of workloads. Captures are therefore memoized in a
 //! process-wide FIFO cache bounded by total cached *instructions*
-//! (`DOL_CAPTURE_CACHE`, default 6 M; `0` disables), and shared as
-//! `Arc`s. A cache hit returns bit-identical artifacts to a fresh
-//! capture, so reports are byte-identical with the cache on or off.
+//! (6 M, `CAPTURE_CACHE_INSTS`), and shared as `Arc`s. A cache hit returns
+//! bit-identical artifacts to a fresh capture, so reports are
+//! byte-identical whether a capture is served from the cache or not.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use dol_core::Prefetcher;
 use dol_cpu::{RunResult, System, SystemConfig, Workload};
@@ -97,15 +97,10 @@ pub fn classify_cached(trace: &Trace) -> Arc<Classifier> {
     })
 }
 
-fn cache_budget_insts() -> u64 {
-    static BUDGET: OnceLock<u64> = OnceLock::new();
-    *BUDGET.get_or_init(|| {
-        std::env::var("DOL_CAPTURE_CACHE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(6_000_000)
-    })
-}
+/// Instructions the capture cache holds at most (the oldest entries are
+/// evicted first; the newest always stays). The per-config run cache
+/// holds 4x this — its artifacts are far smaller than traces.
+const CAPTURE_CACHE_INSTS: u64 = 6_000_000;
 
 /// A captured workload with its baseline (no-prefetch) run and offline
 /// analysis artifacts.
@@ -138,25 +133,22 @@ impl BaselineRun {
     /// a shared, bit-identical artifact without re-simulating.
     pub fn capture(spec: &Spec, plan: &RunPlan, sys: &System) -> Arc<Self> {
         let key: CaptureKey = (spec.name.to_string(), plan.insts, plan.seed);
-        let budget = cache_budget_insts();
-        if budget > 0 {
+        {
             let cache = CAPTURE_CACHE.lock().expect("capture cache poisoned");
             if let Some((_, hit)) = cache.entries.iter().find(|(k, _)| *k == key) {
                 return Arc::clone(hit);
             }
         }
         let fresh = Arc::new(Self::capture_uncached(spec, plan, sys));
-        if budget > 0 {
-            let mut cache = CAPTURE_CACHE.lock().expect("capture cache poisoned");
-            // A racing worker may have inserted the same key; both values
-            // are bit-identical, so keeping ours is equally correct.
-            if !cache.entries.iter().any(|(k, _)| *k == key) {
-                cache.held_insts += plan.insts;
-                cache.entries.push_back((key, Arc::clone(&fresh)));
-                while cache.held_insts > budget && cache.entries.len() > 1 {
-                    if let Some(((_, insts, _), _)) = cache.entries.pop_front() {
-                        cache.held_insts -= insts;
-                    }
+        let mut cache = CAPTURE_CACHE.lock().expect("capture cache poisoned");
+        // A racing worker may have inserted the same key; both values are
+        // bit-identical, so keeping ours is equally correct.
+        if !cache.entries.iter().any(|(k, _)| *k == key) {
+            cache.held_insts += plan.insts;
+            cache.entries.push_back((key, Arc::clone(&fresh)));
+            while cache.held_insts > CAPTURE_CACHE_INSTS && cache.entries.len() > 1 {
+                if let Some(((_, insts, _), _)) = cache.entries.pop_front() {
+                    cache.held_insts -= insts;
                 }
             }
         }
@@ -237,8 +229,7 @@ impl AppRun {
     pub fn run(base: &BaselineRun, config: &str, sys: &System) -> Self {
         let (name, insts, seed) = base.key.clone();
         let key: AppRunKey = (config.to_string(), format!("{sys:?}"), name, insts, seed);
-        let budget = cache_budget_insts().saturating_mul(4);
-        if budget > 0 {
+        {
             let cache = APP_RUN_CACHE.lock().expect("app-run cache poisoned");
             if let Some((_, hit)) = cache.entries.iter().find(|(k, _)| *k == key) {
                 return AppRun {
@@ -250,20 +241,18 @@ impl AppRun {
         }
         let sm = StreamingMetrics::new().with_classifier(base.classifier.clone());
         let fresh = Self::run_streaming(base, config, sys, sm);
-        if budget > 0 {
-            let shared = Arc::new(AppRun {
-                config: fresh.config.clone(),
-                result: fresh.result.clone(),
-                metrics: fresh.metrics.clone(),
-            });
-            let mut cache = APP_RUN_CACHE.lock().expect("app-run cache poisoned");
-            if !cache.entries.iter().any(|(k, _)| *k == key) {
-                cache.held_insts += insts;
-                cache.entries.push_back((key, shared));
-                while cache.held_insts > budget && cache.entries.len() > 1 {
-                    if let Some(((_, _, _, insts, _), _)) = cache.entries.pop_front() {
-                        cache.held_insts -= insts;
-                    }
+        let shared = Arc::new(AppRun {
+            config: fresh.config.clone(),
+            result: fresh.result.clone(),
+            metrics: fresh.metrics.clone(),
+        });
+        let mut cache = APP_RUN_CACHE.lock().expect("app-run cache poisoned");
+        if !cache.entries.iter().any(|(k, _)| *k == key) {
+            cache.held_insts += insts;
+            cache.entries.push_back((key, shared));
+            while cache.held_insts > 4 * CAPTURE_CACHE_INSTS && cache.entries.len() > 1 {
+                if let Some(((_, _, _, insts, _), _)) = cache.entries.pop_front() {
+                    cache.held_insts -= insts;
                 }
             }
         }
@@ -306,9 +295,9 @@ impl AppRun {
     }
 }
 
-/// Empties the process-wide capture, per-config run, classifier, and
-/// pre-decoded micro-op caches, plus the calling thread's arena pools,
-/// so the next run re-simulates everything from scratch. Used by
+/// Empties the process-wide capture, per-config run, and classifier
+/// caches, plus the calling thread's arena pools, so the next run
+/// re-simulates everything from scratch. Used by
 /// `run_all --bench-repeat`, where a repeat pass served from the caches
 /// (or measuring against pre-warmed arenas) would measure bookkeeping
 /// instead of simulation throughput.
@@ -325,7 +314,6 @@ pub fn clear_run_caches() {
         .lock()
         .expect("classifier cache poisoned")
         .clear();
-    dol_isa::clear_uop_cache();
     // Arena pools are thread-local; sweep workers are ephemeral, so the
     // pools that persist across passes are the calling thread's.
     dol_cpu::clear_arena_pools();

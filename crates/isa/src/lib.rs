@@ -60,8 +60,8 @@ pub use inst::{AluOp, Cond, Inst, Operand};
 pub use memory::SparseMemory;
 pub use program::{Label, Program, ProgramBuilder, ProgramError, DEFAULT_BASE_PC};
 pub use reg::Reg;
-pub use trace::{InstBlock, InstKind, InstSource, RetiredInst, Trace, TraceCursor, BLOCK_INSTS};
-pub use uop::{clear_uop_cache, decode_cached, UopProgram};
+pub use trace::{InstKind, InstSource, RetiredInst, Trace, TraceCursor};
+pub use uop::UopProgram;
 pub use vm::{Vm, VmError};
 
 /// Byte distance between consecutive instruction PCs.

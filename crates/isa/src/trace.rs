@@ -121,112 +121,6 @@ impl RetiredInst {
     }
 }
 
-/// Capacity of a full [`InstBlock`]: the decode granularity of the
-/// block-oriented retire pipeline.
-pub const BLOCK_INSTS: usize = 64;
-
-/// A fixed-capacity decode block: the unit the timing model consumes
-/// when retiring in batches.
-///
-/// A block is a plain inline array — filling one from an in-memory
-/// trace is a `memcpy`, and draining one is a branch-light slice walk
-/// with no per-instruction `Option` juggling. The *capacity* may be
-/// lowered below [`BLOCK_INSTS`] (tests exercise block-boundary
-/// semantics at sizes 1 and 7); the simulator always runs at full
-/// capacity.
-#[derive(Debug, Clone)]
-pub struct InstBlock {
-    insts: [RetiredInst; BLOCK_INSTS],
-    len: usize,
-    cap: usize,
-}
-
-/// Filler for unoccupied block slots (never observed by consumers,
-/// which only read `as_slice()`).
-const FILLER: RetiredInst = RetiredInst {
-    pc: 0,
-    kind: InstKind::Other,
-    dst: None,
-    srcs: [None, None],
-};
-
-impl InstBlock {
-    /// An empty block with full ([`BLOCK_INSTS`]) capacity.
-    #[inline]
-    pub fn new() -> Self {
-        Self::with_capacity(BLOCK_INSTS)
-    }
-
-    /// An empty block filled at most `cap` instructions at a time
-    /// (clamped to `1..=BLOCK_INSTS`) — for block-boundary tests.
-    #[inline]
-    pub fn with_capacity(cap: usize) -> Self {
-        InstBlock {
-            insts: [FILLER; BLOCK_INSTS],
-            len: 0,
-            cap: cap.clamp(1, BLOCK_INSTS),
-        }
-    }
-
-    /// Fill limit of this block.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Instructions currently held.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the block holds no instructions.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Empties the block (capacity unchanged).
-    #[inline]
-    pub fn clear(&mut self) {
-        self.len = 0;
-    }
-
-    /// Appends one instruction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block is already at capacity.
-    #[inline]
-    pub fn push(&mut self, inst: RetiredInst) {
-        assert!(self.len < self.cap, "InstBlock overflow");
-        self.insts[self.len] = inst;
-        self.len += 1;
-    }
-
-    /// Replaces the contents with a copy of `src` (at most `capacity()`
-    /// instructions) and returns how many were taken.
-    #[inline]
-    pub fn refill_from(&mut self, src: &[RetiredInst]) -> usize {
-        let n = src.len().min(self.cap);
-        self.insts[..n].copy_from_slice(&src[..n]);
-        self.len = n;
-        n
-    }
-
-    /// The held instructions, in stream order.
-    #[inline]
-    pub fn as_slice(&self) -> &[RetiredInst] {
-        &self.insts[..self.len]
-    }
-}
-
-impl Default for InstBlock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// A pull-based stream of retired instructions: the timing model's input
 /// edge.
 ///
@@ -243,25 +137,6 @@ impl Default for InstBlock {
 pub trait InstSource {
     /// The next retired instruction, or `None` at end of stream.
     fn next_inst(&mut self) -> Option<RetiredInst>;
-
-    /// Refills `block` with the next up-to-`block.capacity()`
-    /// instructions; an empty block afterwards means end of stream.
-    ///
-    /// The default pulls through [`next_inst`](Self::next_inst) one at a
-    /// time, so every source batches correctly without changes; sources
-    /// with contiguous backing storage (e.g. [`TraceCursor`]) override
-    /// it with a bulk copy. An override must yield exactly the same
-    /// instruction stream as the default — blocks are a throughput
-    /// vehicle, never a semantic boundary.
-    fn next_block(&mut self, block: &mut InstBlock) {
-        block.clear();
-        while block.len() < block.capacity() {
-            match self.next_inst() {
-                Some(inst) => block.push(inst),
-                None => break,
-            }
-        }
-    }
 }
 
 /// An [`InstSource`] over an in-memory instruction slice.
@@ -285,12 +160,6 @@ impl InstSource for TraceCursor<'_> {
         let inst = *self.insts.get(self.pos)?;
         self.pos += 1;
         Some(inst)
-    }
-
-    #[inline]
-    fn next_block(&mut self, block: &mut InstBlock) {
-        let taken = block.refill_from(&self.insts[self.pos..]);
-        self.pos += taken;
     }
 }
 
@@ -447,59 +316,6 @@ mod tests {
         }
         assert_eq!(n, t.len());
         assert_eq!(cur.next_inst(), None);
-    }
-
-    #[test]
-    fn block_refill_copies_and_respects_capacity() {
-        let t: Trace = (0..10u64).map(|i| load(0x100 + 4 * i, 0x8000)).collect();
-        let mut cur = TraceCursor::new(t.as_slice());
-        let mut block = InstBlock::with_capacity(7);
-        cur.next_block(&mut block);
-        assert_eq!(block.len(), 7);
-        assert_eq!(block.as_slice(), &t.as_slice()[..7]);
-        cur.next_block(&mut block);
-        assert_eq!(block.len(), 3, "tail block is short");
-        assert_eq!(block.as_slice(), &t.as_slice()[7..]);
-        cur.next_block(&mut block);
-        assert!(block.is_empty(), "drained source yields an empty block");
-    }
-
-    #[test]
-    fn default_next_block_matches_cursor_override() {
-        // A wrapper with no override exercises the one-at-a-time default.
-        struct OneAtATime<'a>(TraceCursor<'a>);
-        impl InstSource for OneAtATime<'_> {
-            fn next_inst(&mut self) -> Option<RetiredInst> {
-                self.0.next_inst()
-            }
-        }
-        let t: Trace = (0..150u64)
-            .map(|i| load(0x100 + 4 * i, 0x8000 + 64 * i))
-            .collect();
-        for cap in [1, 7, BLOCK_INSTS] {
-            let mut a = TraceCursor::new(t.as_slice());
-            let mut b = OneAtATime(TraceCursor::new(t.as_slice()));
-            let mut ba = InstBlock::with_capacity(cap);
-            let mut bb = InstBlock::with_capacity(cap);
-            let mut streamed: Vec<RetiredInst> = Vec::new();
-            loop {
-                a.next_block(&mut ba);
-                b.next_block(&mut bb);
-                assert_eq!(ba.as_slice(), bb.as_slice(), "cap {cap}");
-                if ba.is_empty() {
-                    break;
-                }
-                streamed.extend_from_slice(ba.as_slice());
-            }
-            assert_eq!(streamed, t.as_slice(), "cap {cap}");
-        }
-    }
-
-    #[test]
-    fn block_capacity_is_clamped() {
-        assert_eq!(InstBlock::with_capacity(0).capacity(), 1);
-        assert_eq!(InstBlock::with_capacity(10_000).capacity(), BLOCK_INSTS);
-        assert_eq!(InstBlock::default().capacity(), BLOCK_INSTS);
     }
 
     #[test]

@@ -18,19 +18,13 @@
 //! and the all-workload golden test in `tests/uop_equivalence.rs` pin
 //! this. The interpreter stays as the reference path.
 //!
-//! Decoded programs are memoized in a process-wide content-hash-keyed
-//! cache ([`decode_cached`]): workloads re-captured across bench passes
-//! skip the decode. Hits verify full program equality, so a hash
-//! collision can never substitute programs.
-
-use std::collections::VecDeque;
-use std::hash::{BuildHasher, Hash, Hasher};
-use std::sync::{Arc, Mutex};
+//! Every [`Vm::run_uop`] call decodes its program afresh: decode is one
+//! linear pass over the static instructions, and memoizing it showed no
+//! end-to-end gain.
 
 use crate::vm::MAX_CALL_DEPTH;
 use crate::{
-    AluOp, Cond, DetState, Inst, InstKind, Operand, Program, Reg, RetiredInst, Trace, Vm, VmError,
-    INST_BYTES,
+    AluOp, Cond, Inst, InstKind, Operand, Program, Reg, RetiredInst, Trace, Vm, VmError, INST_BYTES,
 };
 
 /// A resolved control-flow edge: the target's micro-op index alongside
@@ -121,9 +115,6 @@ struct Uop {
 #[derive(Debug)]
 pub struct UopProgram {
     base_pc: u64,
-    /// The source instructions, kept for exact-equality verification on
-    /// decode-cache hits (static programs are tiny next to their traces).
-    src: Vec<Inst>,
     uops: Vec<Uop>,
 }
 
@@ -146,12 +137,12 @@ impl UopProgram {
     /// Decodes `program` into micro-ops.
     pub fn decode(program: &Program) -> Self {
         let base_pc = program.base_pc();
-        let src = program.insts().to_vec();
         let to = |pc: u64| JumpTo {
             ix: pc_ix(base_pc, pc),
             pc,
         };
-        let uops = src
+        let uops = program
+            .insts()
             .iter()
             .map(|inst| {
                 let kind = match *inst {
@@ -212,7 +203,7 @@ impl UopProgram {
                 }
             })
             .collect();
-        UopProgram { base_pc, src, uops }
+        UopProgram { base_pc, uops }
     }
 
     /// Number of micro-ops (== static instructions).
@@ -224,54 +215,6 @@ impl UopProgram {
     pub fn is_empty(&self) -> bool {
         self.uops.is_empty()
     }
-
-    fn matches(&self, program: &Program) -> bool {
-        self.base_pc == program.base_pc() && self.src == program.insts()
-    }
-}
-
-/// Entries the decode cache retains (FIFO). Static programs are a few
-/// hundred bytes each; 64 covers every workload family plus headroom.
-const UOP_CACHE_CAP: usize = 64;
-
-static UOP_CACHE: Mutex<VecDeque<(u64, Arc<UopProgram>)>> = Mutex::new(VecDeque::new());
-
-fn program_hash(program: &Program) -> u64 {
-    let mut h = DetState.build_hasher();
-    program.base_pc().hash(&mut h);
-    program.insts().len().hash(&mut h);
-    for inst in program.insts() {
-        inst.hash(&mut h);
-    }
-    h.finish()
-}
-
-/// Decodes `program`, serving bit-identical repeats from the
-/// process-wide micro-op cache. Hits are verified by full program
-/// comparison, never by hash alone.
-pub fn decode_cached(program: &Program) -> Arc<UopProgram> {
-    let key = program_hash(program);
-    {
-        let cache = UOP_CACHE.lock().expect("uop cache poisoned");
-        if let Some((_, hit)) = cache.iter().find(|(k, p)| *k == key && p.matches(program)) {
-            return Arc::clone(hit);
-        }
-    }
-    let fresh = Arc::new(UopProgram::decode(program));
-    let mut cache = UOP_CACHE.lock().expect("uop cache poisoned");
-    if !cache.iter().any(|(k, p)| *k == key && p.matches(program)) {
-        cache.push_back((key, Arc::clone(&fresh)));
-        while cache.len() > UOP_CACHE_CAP {
-            cache.pop_front();
-        }
-    }
-    fresh
-}
-
-/// Empties the process-wide micro-op decode cache (used between bench
-/// passes so repeats measure decode honestly).
-pub fn clear_uop_cache() {
-    UOP_CACHE.lock().expect("uop cache poisoned").clear();
 }
 
 /// Largest trace capacity reserved up front (full budgets are reserved
@@ -284,7 +227,7 @@ impl Vm {
     /// micro-op program. State transitions, the produced trace, and
     /// every error case are bit-identical to [`Vm::run`].
     pub fn run_uop(&mut self, max_insts: u64) -> Result<Trace, VmError> {
-        let prog = decode_cached(&self.program);
+        let prog = UopProgram::decode(&self.program);
         let mut trace = Trace::new();
         if !self.halted && self.retired < max_insts {
             trace.reserve((max_insts - self.retired).min(MAX_RESERVE_INSTS) as usize);
@@ -548,18 +491,6 @@ mod tests {
         );
         assert_eq!(reference.retired(), uop.retired());
         assert_eq!(reference.pc(), uop.pc());
-    }
-
-    #[test]
-    fn decode_cache_hits_are_shared_and_clearable() {
-        let prog = counting_loop(4);
-        let a = decode_cached(&prog);
-        let b = decode_cached(&prog);
-        assert!(Arc::ptr_eq(&a, &b), "second decode is a cache hit");
-        clear_uop_cache();
-        let c = decode_cached(&prog);
-        assert!(!Arc::ptr_eq(&a, &c), "cache was cleared");
-        assert_eq!(a.len(), c.len());
     }
 
     #[test]

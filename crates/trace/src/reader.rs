@@ -3,7 +3,7 @@
 
 use std::io::Read;
 
-use dol_isa::{InstBlock, InstSource, RetiredInst, SparseMemory, Trace};
+use dol_isa::{InstSource, RetiredInst, SparseMemory, Trace};
 
 use crate::codec::{decode_inst, DeltaState};
 use crate::varint::read_u64;
@@ -200,7 +200,7 @@ impl<R: Read> TraceReader<R> {
 
     /// Decodes one instruction out of the current chunk (which must hold
     /// one — see [`refill`](Self::refill)), maintaining the counters and
-    /// the frame-exhaustion check exactly like the one-at-a-time path.
+    /// checking that the frame's last instruction ends at its last byte.
     /// Forced inline for the reason given on [`decode_inst`].
     #[inline(always)]
     fn decode_one(&mut self) -> Result<RetiredInst, TraceError> {
@@ -218,43 +218,27 @@ impl<R: Read> TraceReader<R> {
 
     /// Decodes the next instruction, or returns `Ok(None)` at a
     /// validated end of stream.
+    ///
+    /// While the current frame still holds instructions this decodes in
+    /// place; the next frame is read only once this one is drained. That
+    /// skips no check: the stream is marked ended only when a drained
+    /// frame is followed by a valid end frame.
+    #[inline]
     pub fn next_inst(&mut self) -> Result<Option<RetiredInst>, TraceError> {
-        if !self.refill()? {
+        if self.chunk_insts_left == 0 && !self.refill()? {
             return Ok(None);
         }
         self.decode_one().map(Some)
     }
-
-    /// Fills `block` with up to `block.capacity()` instructions in one
-    /// batched pass over the chunk slice — the frame bookkeeping runs
-    /// once per refill instead of once per instruction, which is what
-    /// keeps decode MB/s off the critical path of replay-heavy
-    /// workloads. An empty block afterwards means end of stream.
-    ///
-    /// On a decode error the block keeps the instructions decoded before
-    /// the failure (the same prefix the one-at-a-time path would have
-    /// delivered) and the error is returned; the stream is unusable
-    /// afterwards.
-    pub fn next_block(&mut self, block: &mut InstBlock) -> Result<(), TraceError> {
-        block.clear();
-        while block.len() < block.capacity() {
-            if !self.refill()? {
-                return Ok(());
-            }
-            let n = (self.chunk_insts_left as usize).min(block.capacity() - block.len());
-            for _ in 0..n {
-                block.push(self.decode_one()?);
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Adapts a [`TraceReader`] into an infallible [`InstSource`] for the
-/// timing model's generic hot edge.
+/// timing model's generic hot edge: the simulator pulls one instruction
+/// per retire through [`TraceReader::next_inst`].
 ///
 /// A decode failure ends the stream; the run completes on the
-/// instructions decoded so far and the caller must check
+/// instructions decoded so far (for a bad checksum, exactly those of
+/// the frames before the damaged one) and the caller must check
 /// [`error`](Self::error) afterwards (the harness treats a stored error
 /// — or a short stream — as fatal).
 pub struct ReplaySource<R: Read> {
@@ -295,19 +279,6 @@ impl<R: Read> InstSource for ReplaySource<R> {
                 self.error = Some(e);
                 None
             }
-        }
-    }
-
-    fn next_block(&mut self, block: &mut InstBlock) {
-        if self.error.is_some() {
-            block.clear();
-            return;
-        }
-        if let Err(e) = self.reader.next_block(block) {
-            // The block keeps the prefix decoded before the failure —
-            // exactly the instructions the per-inst path would have
-            // yielded; the next call returns an empty block.
-            self.error = Some(e);
         }
     }
 }
