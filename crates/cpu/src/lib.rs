@@ -21,13 +21,11 @@
 //! [`dol_isa::Trace`] per workload is replayed through the timing model
 //! under every prefetcher configuration.
 
-mod arena;
 mod branch;
 mod config;
 mod system;
 pub mod telemetry;
 
-pub use arena::clear_thread_pools as clear_arena_pools;
 pub use branch::BranchPredictor;
 pub use config::{CoreConfig, DestinationPolicy, SystemConfig};
 pub use system::{MultiRunResult, RunResult, System, Workload};

@@ -57,7 +57,7 @@ impl Workload {
 }
 
 /// Result of a single-core run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunResult {
     /// Total cycles (retire time of the last instruction).
     pub cycles: u64,
@@ -113,6 +113,8 @@ impl MultiRunResult {
     }
 }
 
+/// One core's state for one run: built empty by [`CoreRt::new`] and
+/// dropped when the run returns (only the drained source is handed back).
 struct CoreRt<'a, S: InstSource> {
     /// The instruction stream — generic, so both the in-memory trace
     /// path and the on-disk replay path monomorphize to direct calls
@@ -148,44 +150,29 @@ struct CoreRt<'a, S: InstSource> {
 impl<'a, S: InstSource> CoreRt<'a, S> {
     fn new(mut source: S, memory: &'a SparseMemory, gshare_bits: u32) -> Self {
         let next = source.next_inst();
-        let scratch = crate::arena::acquire_core_scratch();
         CoreRt {
             source,
             next,
             memory,
             regs: [0; dol_isa::Reg::COUNT],
-            rob: scratch.rob,
-            lsq: scratch.lsq,
+            rob: VecDeque::new(),
+            lsq: VecDeque::new(),
             dispatch: 0,
             dispatched: 0,
             last_retire: 0,
-            ras: scratch.ras,
+            ras: Vec::new(),
             bp: BranchPredictor::new(gshare_bits),
             mispredicts: 0,
             insts: 0,
             stalls: [0; 3],
-            pending: scratch.pending,
-            retries: scratch.retries,
-            retry_scratch: scratch.retry_scratch,
+            pending: BinaryHeap::new(),
+            retries: Vec::new(),
+            retry_scratch: Vec::new(),
         }
     }
 
     fn done(&self) -> bool {
         self.next.is_none()
-    }
-
-    /// Returns the per-run collections to the thread-local arena and
-    /// yields the drained source.
-    fn into_source(self) -> S {
-        crate::arena::release_core_scratch(crate::arena::CoreScratch {
-            rob: self.rob,
-            lsq: self.lsq,
-            ras: self.ras,
-            pending: self.pending,
-            retries: self.retries,
-            retry_scratch: self.retry_scratch,
-        });
-        self.source
     }
 }
 
@@ -340,6 +327,10 @@ impl System {
     /// the byte-identity guarantee the CI determinism gate checks across
     /// `--jobs` settings. A single core takes the same loop, pulling its
     /// source one instruction per retire.
+    ///
+    /// The run's working set — the memory system, every core's
+    /// collections and the prefetch out-buffer — is built fresh here and
+    /// dropped on return, so no state carries from one run to the next.
     fn run_inner<'a, I: InstSource, P: Prefetcher + ?Sized, S: EventSink + ?Sized>(
         &self,
         sources: Vec<(I, &'a SparseMemory)>,
@@ -351,12 +342,12 @@ impl System {
             sources.len() <= self.cfg.hierarchy.cores as usize,
             "more workloads than configured cores"
         );
-        let mut mem = crate::arena::acquire_memory_system(self.cfg.hierarchy);
+        let mut mem = MemorySystem::new(self.cfg.hierarchy);
         let mut cores: Vec<CoreRt<'a, I>> = sources
             .into_iter()
             .map(|(s, m)| CoreRt::new(s, m, self.cfg.core.gshare_bits))
             .collect();
-        let mut out_buf = crate::arena::acquire_out_buf();
+        let mut out_buf = Vec::with_capacity(32);
 
         loop {
             let next = cores
@@ -381,15 +372,13 @@ impl System {
         let stalls: Vec<[u64; 3]> = cores.iter().map(|c| c.stalls).collect();
         let stats = mem.stats();
         crate::telemetry::record_instructions(per_core.iter().map(|&(_, i)| i).sum());
-        crate::arena::release_out_buf(out_buf);
-        crate::arena::release_memory_system(mem);
         let result = MultiRunResult {
             cores: per_core,
             stalls,
             mispredicts,
             stats,
         };
-        (result, cores.into_iter().map(|c| c.into_source()).collect())
+        (result, cores.into_iter().map(|c| c.source).collect())
     }
 
     #[inline]

@@ -167,7 +167,7 @@ fn render_run(workload: &str, config: &str, insts: u64, seed: u64) -> Result<Str
         ..RunPlan::smoke()
     };
     let sys = single_core();
-    let base = BaselineRun::capture(&spec, &plan, &sys);
+    let base = BaselineRun::capture(&spec, &plan);
     let run = AppRun::run(&base, config, &sys);
     let r = &run.result;
     let b = &base.result;

@@ -18,7 +18,7 @@ fn suite_geomeans(plan: &RunPlan, specs: Vec<Spec>) -> Vec<f64> {
     let sys = single_core();
     let specs = plan.cap_suite(specs);
     let per_app: Vec<Vec<f64>> = crate::sweep::map(plan.jobs, &specs, |spec| {
-        let base = BaselineRun::capture(spec, plan, &sys);
+        let base = BaselineRun::capture(spec, plan);
         COMPARISON_SET
             .iter()
             .map(|cfg| AppRun::run(&base, cfg, &sys).speedup(&base))
@@ -38,7 +38,6 @@ fn suite_geomeans(plan: &RunPlan, specs: Vec<Spec>) -> Vec<f64> {
 /// parallel against that shared cache.
 fn mix_speedups(plan: &RunPlan) -> Vec<f64> {
     let sys4 = System::new(SystemConfig::isca2018(4));
-    let sys1 = single_core();
     let mixes = mixes(plan.mix_count, plan.seed);
 
     // Unique members, in first-appearance order.
@@ -49,7 +48,7 @@ fn mix_speedups(plan: &RunPlan) -> Vec<f64> {
         }
     }
     let captured: HashMap<String, Arc<BaselineRun>> = crate::sweep::map(plan.jobs, &uniq, |m| {
-        (m.name.to_string(), BaselineRun::capture(m, plan, &sys1))
+        (m.name.to_string(), BaselineRun::capture(m, plan))
     })
     .into_iter()
     .collect();

@@ -20,7 +20,7 @@ pub fn run(plan: &RunPlan) -> Report {
 
     let specs = plan.cap_suite(dol_workloads::spec21());
     let per_app: Vec<Vec<(f64, f64)>> = crate::sweep::map(plan.jobs, &specs, |spec| {
-        let base = BaselineRun::capture(spec, plan, &sys);
+        let base = BaselineRun::capture(spec, plan);
         let tpc_cycles = AppRun::run(&base, "TPC", &sys).result.cycles;
         EXTRA_SET
             .iter()

@@ -24,10 +24,9 @@ pub fn run(plan: &RunPlan) -> Report {
     let mut results: Vec<Vec<Vec<f64>>> =
         vec![vec![Vec::new(); COMPARISON_SET.len()]; policies.len()];
 
-    let base_sys = System::new(SystemConfig::isca2018(1));
     let specs = plan.cap_suite(dol_workloads::spec21());
     let per_app: Vec<Vec<Vec<f64>>> = crate::sweep::map(plan.jobs, &specs, |spec| {
-        let base = BaselineRun::capture(spec, plan, &base_sys);
+        let base = BaselineRun::capture(spec, plan);
         let lhf_lines = Arc::new(crate::phase::timed(crate::phase::Phase::Metrics, || {
             base.classifier.lines_in(Category::Lhf)
         }));

@@ -25,7 +25,7 @@ use dol_metrics::{geomean, weighted_speedup, StreamingMetrics, TextTable};
 use crate::bands::Expectation;
 use crate::experiments::Report;
 use crate::prefetchers;
-use crate::runner::{single_core, BaselineRun};
+use crate::runner::BaselineRun;
 use crate::RunPlan;
 
 /// One 4-core co-run scenario: a workload mix plus a per-core
@@ -175,7 +175,6 @@ fn run_scenario(
 /// Runs the co-run scenario matrix on the 4-core Table I system.
 pub fn run(plan: &RunPlan) -> Report {
     let sys4 = System::new(SystemConfig::isca2018(4));
-    let sys1 = single_core();
     let scenarios = scenarios();
 
     // Unique members across the matrix, captured (with solo no-prefetch
@@ -188,7 +187,7 @@ pub fn run(plan: &RunPlan) -> Report {
     }
     let captured: HashMap<String, Arc<BaselineRun>> = crate::sweep::map(plan.jobs, &uniq, |name| {
         let spec = dol_workloads::by_name(name).expect("known workload");
-        (name.to_string(), BaselineRun::capture(&spec, plan, &sys1))
+        (name.to_string(), BaselineRun::capture(&spec, plan))
     })
     .into_iter()
     .collect();

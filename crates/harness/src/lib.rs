@@ -25,6 +25,7 @@ pub mod analysis;
 pub mod bands;
 pub mod bench;
 pub mod experiments;
+mod memo;
 pub mod phase;
 pub mod plan;
 pub mod prefetchers;

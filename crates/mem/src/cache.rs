@@ -117,13 +117,6 @@ pub struct Cache {
     lines: Vec<Line>,
     /// Packed tags, parallel to `lines` ([`NO_TAG`] when invalid).
     tags: Vec<u64>,
-    /// Indices of slots that have ever been filled since construction or
-    /// the last [`reset`](Self::reset) — the only slots `reset` must
-    /// rewrite, making it O(touched) instead of O(capacity). A slot is
-    /// recorded exactly once: [`fill_impl`](Self::fill_impl) is the sole
-    /// `valid := true` site and pushes only when overwriting an invalid
-    /// slot (invalidated slots stay recorded).
-    touched: Vec<u32>,
     clock: u64,
     rng: u64,
 }
@@ -138,23 +131,9 @@ impl Cache {
             ways: cfg.ways as usize,
             lines: vec![Line::default(); (sets * cfg.ways as u64) as usize],
             tags: vec![NO_TAG; (sets * cfg.ways as u64) as usize],
-            touched: Vec::new(),
             clock: 0,
             rng: RNG_SEED,
         }
-    }
-
-    /// Restores the exact post-[`new`](Self::new) state (empty lines,
-    /// zero clock, reseeded replacement RNG) without reallocating,
-    /// rewriting only the slots that were ever filled.
-    pub fn reset(&mut self) {
-        for &i in &self.touched {
-            self.lines[i as usize] = Line::default();
-            self.tags[i as usize] = NO_TAG;
-        }
-        self.touched.clear();
-        self.clock = 0;
-        self.rng = RNG_SEED;
     }
 
     /// The cache's configuration.
@@ -311,10 +290,8 @@ impl Cache {
                 owner: l.owner,
             })
         } else {
-            self.touched.push(victim_at as u32);
             None
         };
-        let l = &mut self.lines[victim_at];
         *l = Line {
             tag: line,
             valid: true,

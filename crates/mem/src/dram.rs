@@ -141,20 +141,6 @@ impl Dram {
         &self.cfg
     }
 
-    /// Restores the exact post-[`new`](Self::new) state (closed rows,
-    /// idle banks and channels, zeroed counters) without reallocating
-    /// the bank array or channel queues.
-    pub fn reset(&mut self) {
-        for b in &mut self.banks {
-            *b = Bank::default();
-        }
-        for ch in &mut self.channels {
-            ch.inflight.clear();
-            ch.next_issue = 0;
-        }
-        self.stats = DramStats::default();
-    }
-
     /// Counters so far.
     pub fn stats(&self) -> &DramStats {
         &self.stats

@@ -185,44 +185,6 @@ impl MemorySystem {
         &self.cfg
     }
 
-    /// Restores the exact post-[`new`](Self::new) state — empty caches
-    /// and shadows, idle MSHRs and DRAM, zeroed counters — without
-    /// reallocating the multi-megabyte cache arrays. The run drivers
-    /// recycle memory systems through a pool keyed on configuration, so
-    /// this must be indistinguishable from a fresh build (the
-    /// reset-equivalence test compares against one).
-    pub fn reset(&mut self) {
-        for c in self.l1.iter_mut().chain(self.l2.iter_mut()) {
-            c.reset();
-        }
-        self.l3.reset();
-        for s in self.l1_shadow.iter_mut().chain(self.l2_shadow.iter_mut()) {
-            s.reset();
-        }
-        for m in self
-            .l1_mshr
-            .iter_mut()
-            .chain(self.l2_mshr.iter_mut())
-            .chain(self.pf_l1.iter_mut())
-            .chain(self.pf_l2.iter_mut())
-        {
-            m.reset();
-        }
-        self.l3_mshr.reset();
-        self.pf_l3.reset();
-        self.dram.reset();
-        for s in &mut self.stats {
-            *s = CoreStats::default();
-        }
-        for v in [
-            &mut self.llc_prefetch_fills,
-            &mut self.llc_cross_evictions,
-            &mut self.llc_prefetch_cross_evictions,
-        ] {
-            v.iter_mut().for_each(|x| *x = 0);
-        }
-    }
-
     /// Current statistics snapshot.
     pub fn stats(&self) -> SystemStats {
         SystemStats {

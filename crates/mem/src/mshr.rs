@@ -60,13 +60,6 @@ impl MshrFile {
         self.capacity
     }
 
-    /// Restores the exact post-[`new`](Self::new) state (no in-flight
-    /// entries, zeroed counters) without reallocating.
-    pub fn reset(&mut self) {
-        self.inflight.clear();
-        self.stats = MshrStats::default();
-    }
-
     /// Contention counters so far.
     pub fn stats(&self) -> MshrStats {
         self.stats

@@ -30,10 +30,6 @@ pub struct ShadowTags {
     tags: Vec<u64>,
     /// LRU stamps parallel to `tags` (0 when the way is empty).
     stamps: Vec<u64>,
-    /// Slots ever installed since construction/reset (see [`Cache`'s
-    /// touched list](crate::Cache::reset) for the same O(touched)
-    /// reset scheme).
-    touched: Vec<u32>,
     clock: u64,
 }
 
@@ -52,20 +48,8 @@ impl ShadowTags {
             ways: cfg.ways as usize,
             tags: vec![NO_TAG; (sets * cfg.ways as u64) as usize],
             stamps: vec![0; (sets * cfg.ways as u64) as usize],
-            touched: Vec::new(),
             clock: 0,
         }
-    }
-
-    /// Restores the exact post-[`new`](Self::new) state without
-    /// reallocating, rewriting only slots that were ever installed.
-    pub fn reset(&mut self) {
-        for &i in &self.touched {
-            self.tags[i as usize] = NO_TAG;
-            self.stamps[i as usize] = 0;
-        }
-        self.touched.clear();
-        self.clock = 0;
     }
 
     #[inline]
@@ -102,9 +86,6 @@ impl ShadowTags {
             }
         }
         let victim = range.start + victim;
-        if best == 0 {
-            self.touched.push(victim as u32);
-        }
         self.tags[victim] = line;
         self.stamps[victim] = stamp;
         false
