@@ -5,7 +5,6 @@ use crate::{CacheConfig, Origin, ReplacementPolicy};
 #[derive(Debug, Clone, Copy, Default)]
 struct Line {
     tag: u64,
-    valid: bool,
     dirty: bool,
     /// Set when a demand access touches the line after its fill.
     used: bool,
@@ -107,8 +106,8 @@ fn scan_dyn(tags: &[u64], line: u64) -> Option<usize> {
 /// Lookups scan a packed parallel tag array (`tags`) instead of the
 /// ~40-byte [`Line`] records: a set's tags share one cache line of host
 /// memory, and the common miss case never touches line metadata at all.
-/// Invariant: `tags[i] == lines[i].tag` when `lines[i].valid`, else
-/// [`NO_TAG`].
+/// `tags` is also the one record of validity: `tags[i]` is [`NO_TAG`]
+/// exactly when way `i` is invalid, and equals `lines[i].tag` otherwise.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
@@ -173,12 +172,6 @@ impl Cache {
     #[inline]
     pub fn probe(&self, line: u64) -> bool {
         self.find(line).is_some()
-    }
-
-    /// Whether the line is present but its fill is still in flight.
-    pub fn in_flight(&self, line: u64, now: u64) -> bool {
-        self.find(line)
-            .is_some_and(|i| self.lines[i].ready_at > now)
     }
 
     /// A demand access to `line` at cycle `now`; updates replacement and
@@ -271,10 +264,11 @@ impl Cache {
         let victim_at = self.pick_victim(range.clone());
         let stamp = if low_priority {
             // Just above the current LRU line: next-but-one victim.
-            self.lines[range]
+            self.lines[range.clone()]
                 .iter()
-                .filter(|l| l.valid)
-                .map(|l| l.stamp)
+                .zip(&self.tags[range])
+                .filter(|&(_, &t)| t != NO_TAG)
+                .map(|(l, _)| l.stamp)
                 .min()
                 .map(|min| min + 1)
                 .unwrap_or(stamp)
@@ -282,7 +276,7 @@ impl Cache {
             stamp
         };
         let l = &mut self.lines[victim_at];
-        let evicted = if l.valid {
+        let evicted = if self.tags[victim_at] != NO_TAG {
             Some(EvictInfo {
                 line: l.tag,
                 dirty: l.dirty,
@@ -294,7 +288,6 @@ impl Cache {
         };
         *l = Line {
             tag: line,
-            valid: true,
             dirty,
             used: false,
             prefetch: origin,
@@ -308,7 +301,7 @@ impl Cache {
 
     fn pick_victim(&mut self, range: std::ops::Range<usize>) -> usize {
         // Invalid way first.
-        if let Some(i) = self.lines[range.clone()].iter().position(|l| !l.valid) {
+        if let Some(i) = self.tags[range.clone()].iter().position(|&t| t == NO_TAG) {
             return range.start + i;
         }
         match self.cfg.replacement {
@@ -333,22 +326,23 @@ impl Cache {
     /// Origins of prefetched lines currently resident in `line`'s set —
     /// the blame list for an induced miss on `line`.
     pub fn prefetch_origins_in_set(&self, line: u64) -> Vec<Origin> {
-        self.lines[self.set_range(line)]
+        let range = self.set_range(line);
+        self.lines[range.clone()]
             .iter()
-            .filter(|l| l.valid)
-            .filter_map(|l| l.prefetch)
+            .zip(&self.tags[range])
+            .filter(|&(_, &t)| t != NO_TAG)
+            .filter_map(|(l, _)| l.prefetch)
             .collect()
     }
 
     /// Number of valid lines (for occupancy assertions in tests).
     pub fn valid_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.tags.iter().filter(|&&t| t != NO_TAG).count()
     }
 
     /// Removes the line if present, returning whether it was dirty.
     pub fn invalidate(&mut self, line: u64) -> Option<bool> {
         let i = self.find(line)?;
-        self.lines[i].valid = false;
         self.tags[i] = NO_TAG;
         Some(self.lines[i].dirty)
     }
@@ -391,12 +385,10 @@ mod tests {
     fn hit_under_fill_reports_future_ready() {
         let mut c = tiny(ReplacementPolicy::Lru);
         c.fill(10, 100, None, false);
-        assert!(c.in_flight(10, 50));
         match c.demand_access(10, 50, false) {
             LookupOutcome::Hit { ready_at, .. } => assert_eq!(ready_at, 100),
             LookupOutcome::Miss => panic!("expected hit"),
         }
-        assert!(!c.in_flight(10, 100));
     }
 
     #[test]

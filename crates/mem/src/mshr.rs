@@ -30,17 +30,24 @@ pub struct MshrStats {
 /// the hierarchy interrogates a file at non-monotone timestamps (a miss
 /// probes downstream levels at `now + latency`, then the next access
 /// starts earlier), so an entry dropped at a late timestamp must stay
-/// gone even for a later query with an earlier `now`. Expiry uses
-/// unordered `swap_remove` compaction instead of `retain` (no element
-/// shifting), and [`pending`](Self::pending) fuses the expiry sweep with
-/// the line search in a single pass; entry order is therefore
-/// unspecified, which is safe because at most one live entry per line
-/// exists at any time.
+/// gone even for a later query with an earlier `now`.
+///
+/// The file caches `earliest`, the minimum completion cycle of its live
+/// entries. A query whose `now` is before it has nothing to expire and
+/// skips the sweep; otherwise the sweep drops completed entries with
+/// unordered `swap_remove` compaction and recomputes `earliest` in the
+/// same pass. The live set after every query is therefore exactly what an
+/// eager sweep leaves. Entry order is unspecified, which is safe because
+/// at most one live entry per line exists at any time (the hierarchy
+/// allocates only a line that [`pending`](Self::pending) just reported
+/// absent, and `allocate` checks this in debug builds).
 #[derive(Debug, Clone)]
 pub struct MshrFile {
     capacity: usize,
     /// `(line, completes_at)` for in-flight fetches.
     inflight: Vec<(u64, u64)>,
+    /// Minimum `completes_at` over `inflight`; `u64::MAX` when empty.
+    earliest: u64,
     stats: MshrStats,
 }
 
@@ -51,6 +58,7 @@ impl MshrFile {
         MshrFile {
             capacity: capacity as usize,
             inflight: Vec::with_capacity(capacity as usize),
+            earliest: u64::MAX,
             stats: MshrStats::default(),
         }
     }
@@ -65,35 +73,34 @@ impl MshrFile {
         self.stats
     }
 
-    /// Drops entries that have completed by `now`.
-    pub fn expire(&mut self, now: u64) {
-        let mut i = 0;
-        while i < self.inflight.len() {
-            if self.inflight[i].1 <= now {
-                self.inflight.swap_remove(i);
-            } else {
-                i += 1;
-            }
+    /// Drops entries that have completed by `now`. Nothing can have
+    /// completed before `earliest`, so the sweep runs only from then on.
+    fn expire(&mut self, now: u64) {
+        if now < self.earliest {
+            return;
         }
-    }
-
-    /// If `line` has a fetch in flight at `now`, returns its completion
-    /// cycle (a secondary miss). Expires completed entries as it scans.
-    pub fn pending(&mut self, line: u64, now: u64) -> Option<u64> {
-        let mut found = None;
+        let mut earliest = u64::MAX;
         let mut i = 0;
         while i < self.inflight.len() {
-            let (l, t) = self.inflight[i];
+            let t = self.inflight[i].1;
             if t <= now {
                 self.inflight.swap_remove(i);
             } else {
-                if l == line {
-                    found = Some(t);
-                }
+                earliest = earliest.min(t);
                 i += 1;
             }
         }
-        found
+        self.earliest = earliest;
+    }
+
+    /// If `line` has a fetch in flight at `now`, returns its completion
+    /// cycle (a secondary miss).
+    pub fn pending(&mut self, line: u64, now: u64) -> Option<u64> {
+        self.expire(now);
+        self.inflight
+            .iter()
+            .find(|&&(l, _)| l == line)
+            .map(|&(_, t)| t)
     }
 
     /// Whether a register is free at `now` without waiting.
@@ -108,15 +115,9 @@ impl MshrFile {
         if self.inflight.len() < self.capacity {
             now
         } else {
-            let t = self
-                .inflight
-                .iter()
-                .map(|&(_, t)| t)
-                .min()
-                .expect("file is full");
             self.stats.stall_events += 1;
-            self.stats.stall_cycles += t - now;
-            t
+            self.stats.stall_cycles += self.earliest - now;
+            self.earliest
         }
     }
 
@@ -129,7 +130,12 @@ impl MshrFile {
     pub fn allocate(&mut self, line: u64, now: u64, completes_at: u64) {
         self.expire(now);
         assert!(self.inflight.len() < self.capacity, "MSHR file full");
+        debug_assert!(
+            self.inflight.iter().all(|&(l, _)| l != line),
+            "line {line:#x} already has a live MSHR entry"
+        );
         self.inflight.push((line, completes_at));
+        self.earliest = self.earliest.min(completes_at);
         self.stats.peak_occupancy = self.stats.peak_occupancy.max(self.inflight.len() as u32);
     }
 

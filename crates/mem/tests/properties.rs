@@ -1,8 +1,8 @@
 //! Property-based tests for the memory hierarchy invariants.
 
 use dol_mem::{
-    Cache, CacheConfig, HierarchyConfig, LookupOutcome, MemorySystem, Origin, ReplacementPolicy,
-    ShadowTags,
+    Cache, CacheConfig, HierarchyConfig, LookupOutcome, MemorySystem, MshrFile, MshrStats, Origin,
+    ReplacementPolicy, ShadowTags,
 };
 use proptest::prelude::*;
 
@@ -16,7 +16,114 @@ fn small_cache_cfg() -> CacheConfig {
     }
 }
 
+/// Reference MSHR file: every query sweeps every entry that has
+/// completed by its `now`, with no shortcut. [`MshrFile`] must answer
+/// exactly like it.
+struct EagerMshr {
+    capacity: usize,
+    inflight: Vec<(u64, u64)>,
+    stats: MshrStats,
+}
+
+impl EagerMshr {
+    fn new(capacity: u32) -> Self {
+        EagerMshr {
+            capacity: capacity as usize,
+            inflight: Vec::new(),
+            stats: MshrStats::default(),
+        }
+    }
+
+    fn expire(&mut self, now: u64) {
+        self.inflight.retain(|&(_, t)| t > now);
+    }
+
+    fn pending(&mut self, line: u64, now: u64) -> Option<u64> {
+        self.expire(now);
+        self.inflight
+            .iter()
+            .find(|&&(l, _)| l == line)
+            .map(|&(_, t)| t)
+    }
+
+    fn has_free(&mut self, now: u64) -> bool {
+        self.expire(now);
+        self.inflight.len() < self.capacity
+    }
+
+    fn next_free(&mut self, now: u64) -> u64 {
+        self.expire(now);
+        if self.inflight.len() < self.capacity {
+            return now;
+        }
+        let t = self.inflight.iter().map(|&(_, t)| t).min().unwrap();
+        self.stats.stall_events += 1;
+        self.stats.stall_cycles += t - now;
+        t
+    }
+
+    fn allocate(&mut self, line: u64, now: u64, completes_at: u64) {
+        self.expire(now);
+        assert!(self.inflight.len() < self.capacity);
+        self.inflight.push((line, completes_at));
+        self.stats.peak_occupancy = self.stats.peak_occupancy.max(self.inflight.len() as u32);
+    }
+
+    fn occupancy(&mut self, now: u64) -> usize {
+        self.expire(now);
+        self.inflight.len()
+    }
+}
+
 proptest! {
+    /// `MshrFile` matches the eager reference on every return value and
+    /// on its stats after every step, for random query sequences at
+    /// non-monotone timestamps (a slowly advancing base plus a jitter
+    /// that often steps backwards, as the hierarchy's downstream probes
+    /// do). Allocation follows the hierarchy's protocol: only a line that
+    /// `pending` just reported absent, either right away when `has_free`
+    /// (prefetch path) or at the cycle `next_free` reports (demand path).
+    #[test]
+    fn mshr_file_matches_eager_reference(
+        capacity in 1u32..6,
+        ops in proptest::collection::vec((0u8..6, 0u64..8, 0u64..16, 0u64..120, 0u64..200), 1..400),
+    ) {
+        let mut fast = MshrFile::new(capacity);
+        let mut eager = EagerMshr::new(capacity);
+        let mut base = 0;
+        for (step, &(op, line, advance, jitter, dur)) in ops.iter().enumerate() {
+            base += advance;
+            let now = base + jitter;
+            match op {
+                0 => prop_assert_eq!(fast.pending(line, now), eager.pending(line, now), "step {}", step),
+                1 => prop_assert_eq!(fast.has_free(now), eager.has_free(now), "step {}", step),
+                2 => prop_assert_eq!(fast.next_free(now), eager.next_free(now), "step {}", step),
+                3 => prop_assert_eq!(fast.occupancy(now), eager.occupancy(now), "step {}", step),
+                4 => {
+                    let absent = fast.pending(line, now);
+                    prop_assert_eq!(absent, eager.pending(line, now), "step {}", step);
+                    let free = fast.has_free(now);
+                    prop_assert_eq!(free, eager.has_free(now), "step {}", step);
+                    if absent.is_none() && free {
+                        fast.allocate(line, now, now + dur);
+                        eager.allocate(line, now, now + dur);
+                    }
+                }
+                _ => {
+                    let absent = fast.pending(line, now);
+                    prop_assert_eq!(absent, eager.pending(line, now), "step {}", step);
+                    if absent.is_none() {
+                        let at = fast.next_free(now);
+                        prop_assert_eq!(at, eager.next_free(now), "step {}", step);
+                        fast.allocate(line, at, at + dur);
+                        eager.allocate(line, at, at + dur);
+                    }
+                }
+            }
+            prop_assert_eq!(fast.stats(), eager.stats, "stats after step {}", step);
+        }
+    }
+
     /// A cache never holds more lines than its capacity, for any access
     /// pattern.
     #[test]
