@@ -2,8 +2,7 @@
 
 use std::sync::Arc;
 
-use dol_isa::DetHashSet;
-use dol_mem::HierarchyConfig;
+use dol_mem::{HierarchyConfig, LineSet};
 
 /// Out-of-order core parameters (the paper's Table I).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,8 +61,8 @@ pub enum DestinationPolicy {
     /// Oracle stratification: requests whose target line is in the set
     /// (the offline LHF lines) go to L1, everything else to L2. Line
     /// addresses are in the workload's own (untranslated) address space.
-    /// Probed once per issued prefetch request, hence the fast hasher.
-    StratifiedByLine(Arc<DetHashSet<u64>>),
+    /// Probed once per issued prefetch request.
+    StratifiedByLine(Arc<LineSet>),
 }
 
 /// Full system configuration.

@@ -444,7 +444,7 @@ impl System {
                 DestinationPolicy::ForceL1 => CacheLevel::L1,
                 DestinationPolicy::ForceL2 => CacheLevel::L2,
                 DestinationPolicy::StratifiedByLine(lhf) => {
-                    if lhf.contains(&line_of(req.addr)) {
+                    if lhf.contains(line_of(req.addr)) {
                         CacheLevel::L1
                     } else {
                         CacheLevel::L2

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use dol_core::{NoPrefetcher, Prefetcher, Tpc};
 use dol_cpu::{DestinationPolicy, System, SystemConfig, Workload};
 use dol_isa::{AluOp, Cond, Operand, ProgramBuilder, Reg, Vm};
-use dol_mem::{line_of, CacheLevel, MemEvent};
+use dol_mem::{line_of, CacheLevel, LineSet, MemEvent};
 
 fn stream_vm(n: i64) -> Vm {
     let mut b = ProgramBuilder::new();
@@ -26,7 +26,7 @@ fn stream_vm(n: i64) -> Vm {
 fn stratified_policy_splits_by_line_set() {
     let w = Workload::capture(stream_vm(8000), 100_000).unwrap();
     // Classify even-indexed lines as "LHF" (to L1), the rest to L2.
-    let lhf: dol_isa::DetHashSet<u64> = (0..10_000u64)
+    let lhf: LineSet = (0..10_000u64)
         .map(|i| line_of(0x10_0000 + i * 8))
         .filter(|l| l % 2 == 0)
         .collect();
@@ -42,7 +42,7 @@ fn stratified_policy_splits_by_line_set() {
     for e in &sink.events {
         if let MemEvent::PrefetchIssued { line, dest, .. } = e {
             // Untranslated == translated on core 0.
-            let expect_l1 = lhf.contains(line);
+            let expect_l1 = lhf.contains(*line);
             match dest {
                 CacheLevel::L1 => {
                     both[0] += 1;

@@ -13,7 +13,7 @@ fn origin_ok(origin: Origin, filter: Option<&[Origin]>) -> bool {
 
 fn line_ok(line: u64, filter: Option<&LineSet>) -> bool {
     match filter {
-        Some(set) => set.contains(&line),
+        Some(set) => set.contains(line),
         None => true,
     }
 }
@@ -149,7 +149,7 @@ pub fn scope_by_category(
             Category::Hhf => 2,
         };
         total[i] += w;
-        if pfp.contains(&line) {
+        if pfp.contains(line) {
             covered[i] += w;
         }
     }

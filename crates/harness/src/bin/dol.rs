@@ -201,7 +201,7 @@ fn render_run(workload: &str, config: &str, insts: u64, seed: u64) -> Result<Str
         b.cycles as f64 / r.cycles as f64,
         r.stats.dram.total_traffic_lines() as f64
             / b.stats.dram.total_traffic_lines().max(1) as f64,
-        scope(&base.fp_l1, run.metrics.prefetched_lines_all()),
+        scope(&base.fp_l1, &run.metrics.prefetched_lines_all()),
         acc.effective_accuracy(),
         acc.issued,
         acc.useful,

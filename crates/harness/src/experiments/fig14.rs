@@ -55,9 +55,9 @@ pub fn run(plan: &RunPlan) -> Report {
         let tpc_pfp = tpc_run.metrics.prefetched_lines_all();
         let region: LineSet = base
             .fp_l1
-            .lines()
-            .into_iter()
-            .filter(|l| !tpc_pfp.contains(l))
+            .iter()
+            .map(|(l, _)| l)
+            .filter(|&l| !tpc_pfp.contains(l))
             .collect();
         if region.is_empty() {
             return None;
@@ -65,7 +65,7 @@ pub fn run(plan: &RunPlan) -> Report {
         let region_weight: u64 = base
             .fp_l1
             .iter()
-            .filter(|(l, _)| region.contains(l))
+            .filter(|&(l, _)| region.contains(l))
             .map(|(_, w)| w)
             .sum();
 
@@ -83,7 +83,7 @@ pub fn run(plan: &RunPlan) -> Report {
                 let sa = crate::phase::timed(crate::phase::Phase::Metrics, || {
                     dol_metrics::scope::scope_within(
                         &base.fp_l1,
-                        solo.metrics.prefetched_lines_all(),
+                        &solo.metrics.prefetched_lines_all(),
                         &region,
                     )
                 });

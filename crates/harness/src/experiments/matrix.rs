@@ -125,13 +125,13 @@ fn summarize_inner(
         config: cfg.to_string(),
         speedup: run.speedup(base),
         traffic_ratio: run.traffic_ratio(base),
-        scope_l1: scope(&base.fp_l1, pfp),
+        scope_l1: scope(&base.fp_l1, &pfp),
         acc_l1,
         acc_l2,
         cov_l1: coverage(base_l1, run.result.stats.cores[0].l1_misses),
         cov_l2: coverage(base_l2, run.result.stats.cores[0].l2_misses),
         cat_acc: sm.accuracy_by_category(CacheLevel::L1),
-        cat_scope: scope_by_category(&base.fp_l1, pfp, &base.classifier),
+        cat_scope: scope_by_category(&base.fp_l1, &pfp, &base.classifier),
         component_acc,
     }
 }

@@ -1,7 +1,8 @@
 //! Shared run helpers: workload capture, baseline + per-config runs.
 //!
-//! Metrics are accumulated *online* through [`StreamingMetrics`] sinks
-//! — no run buffers its raw event stream.
+//! Metrics are accumulated *online* through event sinks — a
+//! [`FootprintSink`] for the baseline, [`StreamingMetrics`] for every
+//! prefetcher run — no run buffers its raw event stream.
 //!
 //! Each simulation builds its working set fresh and drops it when it
 //! returns. Captures, per-config runs and classifications are memoized
@@ -13,7 +14,8 @@ use std::sync::Arc;
 use dol_core::Prefetcher;
 use dol_cpu::{RunResult, System, SystemConfig, Workload};
 use dol_isa::Trace;
-use dol_metrics::{classify_trace, Classifier, Footprint, StreamingMetrics};
+use dol_mem::CacheLevel;
+use dol_metrics::{classify_trace, Classifier, Footprint, FootprintSink, StreamingMetrics};
 use dol_workloads::Spec;
 
 use crate::memo::{self, AppRunKey, CaptureKey};
@@ -42,8 +44,6 @@ pub struct BaselineRun {
     pub result: RunResult,
     /// Baseline L1 miss footprint (for scope).
     pub fp_l1: Footprint,
-    /// Baseline L2 miss footprint.
-    pub fp_l2: Footprint,
     /// Offline LHF/MHF/HHF classification (shared with per-config runs
     /// for streaming category accounting).
     pub classifier: Arc<Classifier>,
@@ -84,19 +84,17 @@ impl BaselineRun {
                 .unwrap_or_else(|e| panic!("workload {} failed: {e}", spec.name)),
         });
         let mut none = dol_core::NoPrefetcher;
-        let mut sm = StreamingMetrics::new();
+        let mut fp = FootprintSink::new(CacheLevel::L1);
         let result = timed(Phase::Simulate, || {
-            single_core().run_with_sink(&workload, &mut none, &mut sm)
+            single_core().run_with_sink(&workload, &mut none, &mut fp)
         });
-        let [fp_l1, fp_l2, _] = timed(Phase::Metrics, || sm.into_footprints());
         let classifier = classify_cached(&workload.trace);
         let mpki = result.stats.cores[0].l1_misses as f64 * 1000.0 / result.instructions as f64;
         BaselineRun {
             name: spec.name.to_string(),
             workload,
             result,
-            fp_l1,
-            fp_l2,
+            fp_l1: fp.into_footprint(),
             classifier,
             mpki,
             key,

@@ -3,7 +3,8 @@
 //! functions they replaced.
 //!
 //! Each case runs the same workload twice — once into a [`CollectSink`]
-//! buffer, once into a [`StreamingMetrics`] accumulator — and compares
+//! buffer, once into streaming sinks ([`FootprintSink`] for the
+//! baseline, [`StreamingMetrics`] for the prefetcher run) — and compares
 //! every query the harness performs. Floating-point fields are compared
 //! through `f64::to_bits`, so "equivalent" means *bit*-identical, not
 //! approximately equal.
@@ -14,7 +15,8 @@ use dol_harness::runner::single_core;
 use dol_harness::RunPlan;
 use dol_mem::{CacheLevel, CollectSink, MemEvent, Origin};
 use dol_metrics::{
-    accuracy_at, classify_trace, footprint, prefetched_lines, EffectiveAccuracy, StreamingMetrics,
+    accuracy_at, classify_trace, footprint, prefetched_lines, EffectiveAccuracy, FootprintSink,
+    StreamingMetrics,
 };
 
 fn assert_acc_bits(a: &EffectiveAccuracy, b: &EffectiveAccuracy, what: &str) {
@@ -43,12 +45,12 @@ fn check_app(app: &str) {
 
     // Baseline (no prefetcher): footprints come from demand misses.
     let mut sink = CollectSink::default();
-    let mut sm = StreamingMetrics::new();
     sys.run_with_sink(&workload, &mut dol_core::NoPrefetcher, &mut sink);
-    sys.run_with_sink(&workload, &mut dol_core::NoPrefetcher, &mut sm);
     for level in [CacheLevel::L1, CacheLevel::L2, CacheLevel::L3] {
+        let mut fp = FootprintSink::new(level);
+        sys.run_with_sink(&workload, &mut dol_core::NoPrefetcher, &mut fp);
         let replayed = footprint(&sink.events, level);
-        let streamed = sm.footprint(level);
+        let streamed = fp.footprint();
         assert_eq!(
             replayed.unique_lines(),
             streamed.unique_lines(),
@@ -106,7 +108,7 @@ fn check_app(app: &str) {
 
     // Prefetched-line sets, unfiltered and per component.
     assert_eq!(
-        &prefetched_lines(events, None),
+        prefetched_lines(events, None),
         sm.prefetched_lines_all(),
         "{app}: prefetched lines (all)"
     );
@@ -132,7 +134,7 @@ fn check_app(app: &str) {
     }
     let pfp = prefetched_lines(events, None);
     let replayed_scope = scope_by_category(&fp_l1, &pfp, &classifier);
-    let streamed_scope = scope_by_category(&fp_l1, sm.prefetched_lines_all(), &classifier);
+    let streamed_scope = scope_by_category(&fp_l1, &sm.prefetched_lines_all(), &classifier);
     for i in 0..3 {
         assert_eq!(
             replayed_scope[i].to_bits(),

@@ -6,7 +6,7 @@
 use dol_core::NoPrefetcher;
 use dol_cpu::{System, SystemConfig, Workload};
 use dol_harness::prefetchers;
-use dol_metrics::StreamingMetrics;
+use dol_mem::CollectSink;
 
 /// Budget matching the smoke plan: big enough to reach steady state in
 /// every kernel, small enough to keep the all-workload sweep quick.
@@ -35,8 +35,8 @@ fn all_workload_captures_are_bit_identical() {
 }
 
 /// The two capture paths feed the timing model identically: same
-/// `RunResult` and same streaming-metrics event totals, with and
-/// without a prefetcher in the loop.
+/// `RunResult` with and without a prefetcher in the loop, and the same
+/// memory-event stream, event for event, under TPC.
 #[test]
 fn run_results_and_event_streams_match_across_capture_paths() {
     let sys = System::new(SystemConfig::isca2018(1));
@@ -55,10 +55,10 @@ fn run_results_and_event_streams_match_across_capture_paths() {
 
         let mut pf_a = prefetchers::build("TPC").expect("known config");
         let mut pf_b = prefetchers::build("TPC").expect("known config");
-        let mut sm_a = StreamingMetrics::new();
-        let mut sm_b = StreamingMetrics::new();
-        let run_a = sys.run_with_sink(&fast, &mut pf_a, &mut sm_a);
-        let run_b = sys.run_with_sink(&reference, &mut pf_b, &mut sm_b);
+        let mut events_a = CollectSink::new();
+        let mut events_b = CollectSink::new();
+        let run_a = sys.run_with_sink(&fast, &mut pf_a, &mut events_a);
+        let run_b = sys.run_with_sink(&reference, &mut pf_b, &mut events_b);
         assert_eq!(
             format!("{run_a:?}"),
             format!("{run_b:?}"),
@@ -66,10 +66,13 @@ fn run_results_and_event_streams_match_across_capture_paths() {
             spec.name
         );
         assert_eq!(
-            format!("{:?}", sm_a.into_footprints()),
-            format!("{:?}", sm_b.into_footprints()),
-            "{}: event-stream footprints diverged",
+            events_a.events.len(),
+            events_b.events.len(),
+            "{}: TPC event counts diverged",
             spec.name
         );
+        for (i, (a, b)) in events_a.events.iter().zip(&events_b.events).enumerate() {
+            assert_eq!(a, b, "{}: TPC event {i} diverged", spec.name);
+        }
     }
 }

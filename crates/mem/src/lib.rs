@@ -21,6 +21,10 @@
 //!   model, with demand-access and prefetch entry points and a metric event
 //!   stream ([`MemEvent`]).
 //!
+//! [`LineSet`], a set of line addresses kept as per-page bitmaps, is the
+//! one line-set type of the workspace (footprints, prefetched lines,
+//! regions, the stratified-destination oracle).
+//!
 //! Latency modeling is *calculator style*: each access is resolved to a
 //! completion latency immediately, with contention captured through bank
 //! ready times, MSHR occupancy, and in-flight fill windows. This keeps the
@@ -33,6 +37,7 @@ mod config;
 mod dram;
 mod events;
 mod hierarchy;
+mod line_set;
 mod mshr;
 mod shadow;
 
@@ -41,6 +46,7 @@ pub use config::{CacheConfig, DramConfig, HierarchyConfig, ReplacementPolicy};
 pub use dram::{Dram, DramRequest, DramStats, DropPolicy};
 pub use events::{CollectSink, DropReason, EventSink, MemEvent, NullSink, Origin};
 pub use hierarchy::{DemandOutcome, MemorySystem, PrefetchOutcome, SharedStats, SystemStats};
+pub use line_set::LineSet;
 pub use mshr::{MshrFile, MshrStats};
 pub use shadow::ShadowTags;
 

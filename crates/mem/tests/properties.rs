@@ -1,8 +1,11 @@
 //! Property-based tests for the memory hierarchy invariants.
 
+use std::collections::BTreeSet;
+
+use dol_isa::DetHashSet;
 use dol_mem::{
-    Cache, CacheConfig, HierarchyConfig, LookupOutcome, MemorySystem, MshrFile, MshrStats, Origin,
-    ReplacementPolicy, ShadowTags,
+    Cache, CacheConfig, HierarchyConfig, LineSet, LookupOutcome, MemorySystem, MshrFile, MshrStats,
+    Origin, ReplacementPolicy, ShadowTags,
 };
 use proptest::prelude::*;
 
@@ -75,7 +78,62 @@ impl EagerMshr {
     }
 }
 
+/// First line of one run of `LineSet` inserts: a few pages near zero
+/// (runs cross the 63/64 page edge), the edge of a random page, the top
+/// of the address space, or anywhere.
+fn run_start() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..256,
+        (any::<u64>(), 56u64..64).prop_map(|(page, off)| (page << 6) | off),
+        (u64::MAX - 130)..u64::MAX,
+        Just(0u64),
+        Just(u64::MAX),
+        any::<u64>(),
+    ]
+}
+
 proptest! {
+    /// `LineSet` answers like a `DetHashSet<u64>` fed the same inserts:
+    /// same `insert` results, `contains` on every inserted line and on
+    /// near and far misses, same `len`, same lines from `iter`. Equality
+    /// and `Debug` do not depend on insertion order.
+    #[test]
+    fn line_set_matches_hash_set_reference(
+        runs in proptest::collection::vec((run_start(), 1u64..80), 1..60),
+    ) {
+        let mut set = LineSet::new();
+        let mut reference: DetHashSet<u64> = DetHashSet::default();
+        for (step, &(start, len)) in runs.iter().enumerate() {
+            for k in 0..len {
+                let line = start.wrapping_add(k);
+                prop_assert_eq!(set.insert(line), reference.insert(line), "step {} line {:#x}", step, line);
+                for probe in [line, line.wrapping_sub(1), line.wrapping_add(1), line.wrapping_add(64), line ^ (1 << 40)] {
+                    prop_assert_eq!(set.contains(probe), reference.contains(&probe), "step {} probe {:#x}", step, probe);
+                }
+                prop_assert_eq!(set.len(), reference.len(), "step {}", step);
+                prop_assert_eq!(set.is_empty(), reference.is_empty());
+            }
+            let lines: BTreeSet<u64> = set.iter().collect();
+            prop_assert_eq!(lines.len(), set.len(), "iter yields each line once");
+            prop_assert!(lines.iter().all(|l| reference.contains(l)), "step {}", step);
+        }
+
+        // The same lines in descending order: equal set, equal Debug
+        // (ascending, whatever the insertion order).
+        let sorted: BTreeSet<u64> = reference.iter().copied().collect();
+        let reversed: LineSet = sorted.iter().rev().copied().collect();
+        prop_assert_eq!(&reversed, &set);
+        prop_assert_eq!(format!("{reversed:?}"), format!("{set:?}"));
+        prop_assert_eq!(format!("{set:?}"), format!("{sorted:?}"));
+        let extra = (0u64..).find(|l| !reference.contains(l)).expect("a free line");
+        let mut bigger = set.clone();
+        bigger.insert(extra);
+        prop_assert_ne!(&bigger, &set);
+        let swapped: LineSet = sorted.iter().skip(1).copied().chain([extra]).collect();
+        prop_assert_eq!(swapped.len(), set.len());
+        prop_assert_ne!(&swapped, &set);
+    }
+
     /// `MshrFile` matches the eager reference on every return value and
     /// on its stats after every step, for random query sequences at
     /// non-monotone timestamps (a slowly advancing base plus a jitter

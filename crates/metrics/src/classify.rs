@@ -56,7 +56,7 @@ impl Classifier {
     }
 
     /// Lines belonging to one category.
-    pub fn lines_in(&self, cat: Category) -> crate::scope::LineSet {
+    pub fn lines_in(&self, cat: Category) -> crate::LineSet {
         self.line_cat
             .iter()
             .filter(|(_, c)| **c == cat)

@@ -4,7 +4,8 @@
 //!
 //! * [`mod@scope`] — the paper's *prefetching scope* `S(P)`: the fraction of
 //!   the baseline miss footprint (weighted by per-line miss counts) that
-//!   the prefetcher *attempted*, regardless of usefulness.
+//!   the prefetcher *attempted*, regardless of usefulness. A
+//!   [`FootprintSink`] streams a baseline run's footprint.
 //! * [`accounting`] — *effective accuracy* (misses avoided per prefetch
 //!   issued, with pollution debited through the alternative-reality
 //!   shadow tags) and *effective coverage* (percent reduction of
@@ -15,8 +16,8 @@
 //! * [`stats`] — geometric means, weighted speedup, and scatter
 //!   summaries.
 //! * [`stream`] — [`StreamingMetrics`], an [`dol_mem::EventSink`] that
-//!   computes all of the above online in O(1) memory per distinct
-//!   (origin, line), bit-identical to replaying a buffered event vector
+//!   computes a prefetcher run's accuracy accounting and attempted-line
+//!   sets online, bit-identical to replaying a buffered event vector
 //!   through the slice-based functions.
 //! * [`table`] — plain-text table rendering for the figure/table
 //!   binaries.
@@ -31,9 +32,9 @@ pub mod table;
 
 pub use accounting::{accuracy_at, coverage, EffectiveAccuracy};
 pub use classify::{classify_trace, Category, Classifier};
+pub use dol_mem::LineSet;
 pub use scatter::{accuracy_scope_plot, ScatterPoint};
-pub use scope::LineSet;
-pub use scope::{footprint, prefetched_lines, scope, Footprint};
+pub use scope::{footprint, prefetched_lines, scope, Footprint, FootprintSink};
 pub use stats::{geomean, normalize_to, weighted_speedup, WeightedPoint};
 pub use stream::{CoreCells, StreamingMetrics};
 pub use table::TextTable;

@@ -1,12 +1,7 @@
 //! Prefetching scope `S(P)` (the paper's Sec. III).
 
-use dol_isa::{DetHashMap, DetHashSet};
-use dol_mem::{CacheLevel, MemEvent, Origin};
-
-/// A set of cache-line addresses (footprints, prefetch footprints,
-/// regions), backed by the workspace's deterministic fast hasher — these
-/// sets sit on the per-event hot path.
-pub type LineSet = DetHashSet<u64>;
+use dol_isa::DetHashMap;
+use dol_mem::{CacheLevel, EventSink, LineSet, MemEvent, Origin};
 
 /// The baseline miss footprint of one cache level: unique miss lines with
 /// their miss counts as weights (secondary misses are already excluded by
@@ -37,29 +32,64 @@ impl Footprint {
         self.weights.iter().map(|(&l, &w)| (l, w))
     }
 
-    /// The set of lines.
-    pub fn lines(&self) -> LineSet {
-        self.weights.keys().copied().collect()
+    /// Adds one miss to the footprint.
+    fn add_miss(&mut self, line: u64) {
+        *self.weights.entry(line).or_insert(0u64) += 1;
+    }
+}
+
+/// An [`EventSink`] that accumulates the demand-miss footprint of one
+/// cache level — the streaming equivalent of [`footprint`]. Feed it a
+/// baseline (no-prefetch) run.
+#[derive(Debug, Clone)]
+pub struct FootprintSink {
+    level: CacheLevel,
+    fp: Footprint,
+}
+
+impl FootprintSink {
+    /// An empty footprint of `level`.
+    pub fn new(level: CacheLevel) -> Self {
+        FootprintSink {
+            level,
+            fp: Footprint::default(),
+        }
     }
 
-    /// Adds one miss to the footprint (streaming accumulation).
-    pub(crate) fn add_miss(&mut self, line: u64) {
-        *self.weights.entry(line).or_insert(0u64) += 1;
+    /// The footprint accumulated so far.
+    pub fn footprint(&self) -> &Footprint {
+        &self.fp
+    }
+
+    /// Consumes the sink, returning its footprint.
+    pub fn into_footprint(self) -> Footprint {
+        self.fp
+    }
+}
+
+impl EventSink for FootprintSink {
+    #[inline]
+    fn emit(&mut self, ev: MemEvent) {
+        if let MemEvent::DemandMiss { level, line, .. } = ev {
+            if level == self.level {
+                self.fp.add_miss(line);
+            }
+        }
     }
 }
 
 /// Extracts the miss footprint at `level` from a *baseline* (no-prefetch)
 /// run's events.
 pub fn footprint(events: &[MemEvent], level: CacheLevel) -> Footprint {
-    let mut weights = DetHashMap::default();
+    let mut fp = Footprint::default();
     for e in events {
         if let MemEvent::DemandMiss { level: l, line, .. } = e {
             if *l == level {
-                *weights.entry(*line).or_insert(0u64) += 1;
+                fp.add_miss(*line);
             }
         }
     }
-    Footprint { weights }
+    fp
 }
 
 /// The prefetch footprint: unique lines the prefetcher *attempted*,
@@ -95,7 +125,7 @@ pub fn scope(fp: &Footprint, pfp: &LineSet) -> f64 {
     }
     let covered: u64 = fp
         .iter()
-        .filter(|(l, _)| pfp.contains(l))
+        .filter(|&(l, _)| pfp.contains(l))
         .map(|(_, w)| w)
         .sum();
     covered as f64 / total as f64
@@ -107,7 +137,7 @@ pub fn scope(fp: &Footprint, pfp: &LineSet) -> f64 {
 pub fn scope_within(fp: &Footprint, pfp: &LineSet, region: &LineSet) -> f64 {
     let total: u64 = fp
         .iter()
-        .filter(|(l, _)| region.contains(l))
+        .filter(|&(l, _)| region.contains(l))
         .map(|(_, w)| w)
         .sum();
     if total == 0 {
@@ -115,7 +145,7 @@ pub fn scope_within(fp: &Footprint, pfp: &LineSet, region: &LineSet) -> f64 {
     }
     let covered: u64 = fp
         .iter()
-        .filter(|(l, _)| region.contains(l) && pfp.contains(l))
+        .filter(|&(l, _)| region.contains(l) && pfp.contains(l))
         .map(|(_, w)| w)
         .sum();
     covered as f64 / total as f64
@@ -193,7 +223,7 @@ mod tests {
     fn origin_filter_selects_components() {
         let pf = vec![issued(1, 5), issued(2, 6)];
         let only5 = prefetched_lines(&pf, Some(&[Origin(5)]));
-        assert!(only5.contains(&1) && !only5.contains(&2));
+        assert!(only5.contains(1) && !only5.contains(2));
         let all = prefetched_lines(&pf, None);
         assert_eq!(all.len(), 2);
     }

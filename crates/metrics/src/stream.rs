@@ -1,16 +1,19 @@
-//! Streaming metric accumulators: every metric of the crate, computed
-//! online from the memory system's event stream in O(1) memory per
-//! distinct (origin, line) — independent of instruction count.
+//! Streaming metric accumulators: the run-time metrics of the crate,
+//! computed online from the memory system's event stream.
 //!
 //! [`StreamingMetrics`] implements [`dol_mem::EventSink`]; hand one to
-//! `System::run_with_sink` and query it afterwards. Results are
-//! *bit-identical* to buffering the events in a
-//! [`dol_mem::CollectSink`] and replaying them through the slice-based
-//! functions ([`crate::accuracy_at`], [`crate::footprint`],
-//! [`crate::prefetched_lines`], …) for the filters the harness uses
-//! (no filter, or a single origin): every floating-point accumulation
-//! — only the induced-miss blame shares are non-integral — happens in
+//! `System::run_with_sink` and query it afterwards. Memory grows with
+//! the distinct origins and the pages their prefetches touched, never
+//! with instruction count. Results are *bit-identical* to buffering the
+//! events in a [`dol_mem::CollectSink`] and replaying them through the
+//! slice-based functions ([`crate::accuracy_at`],
+//! [`crate::prefetched_lines`], …) for the filters the harness uses (no
+//! filter, or a single origin): every floating-point accumulation —
+//! only the induced-miss blame shares are non-integral — happens in
 //! event order per accounting cell, exactly as the replay loop would.
+//!
+//! Baseline miss footprints are not accumulated here: only no-prefetch
+//! runs need them, and they stream into a [`crate::FootprintSink`].
 
 use std::sync::Arc;
 
@@ -18,7 +21,7 @@ use dol_mem::{CacheLevel, EventSink, MemEvent, Origin};
 
 use crate::accounting::EffectiveAccuracy;
 use crate::classify::{Category, Classifier};
-use crate::scope::{Footprint, LineSet};
+use crate::LineSet;
 
 #[inline]
 fn level_idx(level: CacheLevel) -> usize {
@@ -37,9 +40,9 @@ const LEVELS: [CacheLevel; 3] = [CacheLevel::L1, CacheLevel::L2, CacheLevel::L3]
 /// consecutive events overwhelmingly share an origin, so a flat vector
 /// with a last-hit cursor beats an ordered map: the common case is one
 /// equality check, the miss case a short linear scan. Insertion order is
-/// first-seen, but no caller iterates the store — lookups are by origin
-/// — so replacing the previous `BTreeMap` changes no observable result;
-/// each cell's f64 accumulation order is untouched (still event order).
+/// first-seen; the only walk over every cell is the union of the
+/// per-origin line sets, which does not depend on order. Each cell's f64
+/// accumulation order is event order.
 #[derive(Debug, Clone, Default)]
 struct OriginCells<T> {
     cells: Vec<(Origin, T)>,
@@ -90,7 +93,7 @@ struct Accounting {
 
 impl Accounting {
     fn observe(&mut self, ev: &MemEvent, lines: Option<&LineSet>) {
-        let line_ok = |line: u64| lines.map(|s| s.contains(&line)).unwrap_or(true);
+        let line_ok = |line: u64| lines.map_or(true, |s| s.contains(line));
         match ev {
             MemEvent::PrefetchIssued {
                 origin, dest, line, ..
@@ -192,26 +195,24 @@ pub struct CoreCells {
     pub demand_misses: [u64; 3],
 }
 
-/// All of the crate's metrics, accumulated online from a run's event
-/// stream.
+/// A prefetcher run's metrics — effective accuracy per level, origin,
+/// core and (optionally) category or region, and the lines each origin
+/// attempted — accumulated online from the run's event stream.
 ///
 /// Construct with [`new`](Self::new), opt into per-category accounting
 /// with [`with_classifier`](Self::with_classifier) and region-restricted
 /// accounting (the paper's Figure 14) with
 /// [`with_region`](Self::with_region), then pass `&mut` to the system
 /// driver as its event sink. Memory use is bounded by the number of
-/// distinct lines and origins, never by instruction count.
+/// origins and the pages their prefetches touched, never by instruction
+/// count.
 #[derive(Debug, Clone, Default)]
 pub struct StreamingMetrics {
     acc: Accounting,
     /// Region-restricted accounting: only events whose line is in the
     /// region participate (both filtered and unfiltered queries).
     region: Option<(LineSet, Accounting)>,
-    /// Per-level demand-miss footprints.
-    footprints: [Footprint; 3],
-    /// Lines attempted by any origin (issued or dropped).
-    pfp_all: LineSet,
-    /// Lines attempted per origin.
+    /// Lines attempted (issued or dropped) per origin.
     pfp_by_origin: OriginCells<LineSet>,
     /// Per-level × per-category accounting (present with a classifier).
     classifier: Option<Arc<Classifier>>,
@@ -251,16 +252,10 @@ impl StreamingMetrics {
             acc.observe(ev, Some(region));
         }
         self.observe_per_core(ev);
-        match ev {
-            MemEvent::DemandMiss { level, line, .. } => {
-                self.footprints[level_idx(*level)].add_miss(*line);
-            }
-            MemEvent::PrefetchIssued { line, origin, .. }
-            | MemEvent::PrefetchDropped { line, origin, .. } => {
-                self.pfp_all.insert(*line);
-                self.pfp_by_origin.entry(*origin).insert(*line);
-            }
-            _ => {}
+        if let MemEvent::PrefetchIssued { line, origin, .. }
+        | MemEvent::PrefetchDropped { line, origin, .. } = ev
+        {
+            self.pfp_by_origin.entry(*origin).insert(*line);
         }
         if let Some(cls) = self.classifier.as_deref() {
             // One-entry memo: bursts of events (issue, useful, avoided)
@@ -410,33 +405,24 @@ impl StreamingMetrics {
         acc.query(level, origins)
     }
 
-    /// The demand-miss footprint accumulated at `level` (meaningful for
-    /// baseline runs) — the streaming equivalent of [`crate::footprint`].
-    pub fn footprint(&self, level: CacheLevel) -> &Footprint {
-        &self.footprints[level_idx(level)]
-    }
-
-    /// Consumes the accumulator, returning the `[L1, L2, L3]` footprints.
-    pub fn into_footprints(self) -> [Footprint; 3] {
-        self.footprints
-    }
-
-    /// Lines attempted by any origin (issued or dropped) — the
-    /// streaming equivalent of [`crate::prefetched_lines`] with no
-    /// filter.
-    pub fn prefetched_lines_all(&self) -> &LineSet {
-        &self.pfp_all
+    /// Lines attempted by any origin (issued or dropped): the union of
+    /// the per-origin sets — the streaming equivalent of
+    /// [`crate::prefetched_lines`] with no filter.
+    pub fn prefetched_lines_all(&self) -> LineSet {
+        self.pfp_by_origin
+            .cells
+            .iter()
+            .flat_map(|(_, s)| s.iter())
+            .collect()
     }
 
     /// Lines attempted by the given origins (union).
     pub fn prefetched_lines_of(&self, origins: &[Origin]) -> LineSet {
-        let mut out = LineSet::default();
-        for o in origins {
-            if let Some(s) = self.pfp_by_origin.get(o) {
-                out.extend(s.iter().copied());
-            }
-        }
-        out
+        origins
+            .iter()
+            .filter_map(|o| self.pfp_by_origin.get(o))
+            .flat_map(LineSet::iter)
+            .collect()
     }
 
     /// Per-LHF/MHF/HHF accounting at `level` — the streaming equivalent
@@ -462,7 +448,7 @@ impl EventSink for StreamingMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{accuracy_at, footprint, prefetched_lines};
+    use crate::{accuracy_at, footprint, prefetched_lines, FootprintSink};
 
     fn issued(line: u64, origin: u16, dest: CacheLevel) -> MemEvent {
         MemEvent::PrefetchIssued {
@@ -572,16 +558,20 @@ mod tests {
     fn matches_replay_footprint_and_pfp() {
         let events = sample_events();
         let sm = streamed(&events);
-        for level in [CacheLevel::L1, CacheLevel::L2] {
+        for level in LEVELS {
             let replay = footprint(&events, level);
-            let stream = sm.footprint(level);
+            let mut sink = FootprintSink::new(level);
+            for e in &events {
+                sink.emit(e.clone());
+            }
+            let stream = sink.footprint();
             assert_eq!(replay.unique_lines(), stream.unique_lines());
             assert_eq!(replay.total_weight(), stream.total_weight());
             for (line, w) in replay.iter() {
                 assert_eq!(stream.weight(line), w);
             }
         }
-        assert_eq!(&prefetched_lines(&events, None), sm.prefetched_lines_all());
+        assert_eq!(prefetched_lines(&events, None), sm.prefetched_lines_all());
         assert_eq!(
             prefetched_lines(&events, Some(&[Origin(5)])),
             sm.prefetched_lines_of(&[Origin(5)])
@@ -621,7 +611,7 @@ mod tests {
         let mut sm = StreamingMetrics::new();
         sm.emit(issued(1, 5, CacheLevel::L1));
         assert_eq!(sm.accuracy_at(CacheLevel::L1, None).issued, 1);
-        assert!(sm.prefetched_lines_all().contains(&1));
+        assert!(sm.prefetched_lines_all().contains(1));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use dol_core::{NoPrefetcher, Prefetcher, Tpc};
 use dol_cpu::{System, SystemConfig, Workload};
 use dol_mem::CacheLevel;
-use dol_metrics::{scope, StreamingMetrics};
+use dol_metrics::{scope, FootprintSink, StreamingMetrics};
 
 fn main() {
     // 1. Pick a workload from the suite and capture its functional trace.
@@ -21,10 +21,11 @@ fn main() {
     );
 
     // 2. Build the simulated machine (the paper's Table I) and run the
-    //    no-prefetch baseline.
+    //    no-prefetch baseline, streaming its L1 miss footprint (the
+    //    denominator of the scope metric) into a sink.
     let sys = System::new(SystemConfig::isca2018(1));
-    let mut base_metrics = StreamingMetrics::new();
-    let baseline = sys.run_with_sink(&workload, &mut NoPrefetcher, &mut base_metrics);
+    let mut base_fp = FootprintSink::new(CacheLevel::L1);
+    let baseline = sys.run_with_sink(&workload, &mut NoPrefetcher, &mut base_fp);
     println!(
         "baseline: {} cycles (IPC {:.2}), {} L1 misses",
         baseline.cycles,
@@ -50,14 +51,14 @@ fn main() {
         tpc.storage_bits() as f64 / 8192.0
     );
 
-    // 4. The paper's metrics: scope and effective accuracy, accumulated
-    //    online by the sinks while the runs streamed.
-    let fp = base_metrics.footprint(CacheLevel::L1);
+    // 4. The paper's metrics: scope (the share of the baseline footprint
+    //    TPC attempted) and effective accuracy, accumulated online by the
+    //    sinks while the runs streamed.
     let pfp = tpc_metrics.prefetched_lines_all();
     let acc = tpc_metrics.accuracy_at(CacheLevel::L1, None);
     println!(
         "scope {:.2}, effective accuracy {:.2} ({} issued, {} useful)",
-        scope(fp, pfp),
+        scope(base_fp.footprint(), &pfp),
         acc.effective_accuracy(),
         acc.issued,
         acc.useful

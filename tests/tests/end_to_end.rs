@@ -5,7 +5,7 @@ use dol_core::{NoPrefetcher, Prefetcher, Tpc};
 use dol_cpu::{System, SystemConfig, Workload};
 use dol_harness::prefetchers;
 use dol_mem::{CacheLevel, CollectSink};
-use dol_metrics::{scope, StreamingMetrics};
+use dol_metrics::{scope, FootprintSink, StreamingMetrics};
 
 const BUDGET: u64 = 120_000;
 
@@ -99,8 +99,8 @@ fn runs_are_deterministic() {
 fn t2_has_near_perfect_accuracy_on_canonical_streams() {
     let sys = sys();
     let w = capture("stream_sum");
-    let mut base_sm = StreamingMetrics::new();
-    let base = sys.run_with_sink(&w, &mut NoPrefetcher, &mut base_sm);
+    let mut base_fp = FootprintSink::new(CacheLevel::L1);
+    let base = sys.run_with_sink(&w, &mut NoPrefetcher, &mut base_fp);
     assert!(base.cycles > 0);
     let mut t2 = Tpc::t2_only();
     let mut sm = StreamingMetrics::new();
@@ -111,9 +111,11 @@ fn t2_has_near_perfect_accuracy_on_canonical_streams() {
         "T2 accuracy on its home pattern: {:.3}",
         acc.effective_accuracy()
     );
-    let fp = base_sm.footprint(CacheLevel::L1);
     let pfp = sm.prefetched_lines_all();
-    assert!(scope(fp, pfp) > 0.9, "T2 scope on a pure stream");
+    assert!(
+        scope(base_fp.footprint(), &pfp) > 0.9,
+        "T2 scope on a pure stream"
+    );
 }
 
 #[test]
