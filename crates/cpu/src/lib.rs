@@ -24,7 +24,6 @@
 mod branch;
 mod config;
 mod system;
-pub mod telemetry;
 
 pub use branch::BranchPredictor;
 pub use config::{CoreConfig, DestinationPolicy, SystemConfig};

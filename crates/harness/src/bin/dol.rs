@@ -8,7 +8,6 @@
 //! dol trace info <file.dolt>                   # header + size summary
 //! dol trace verify <file.dolt>...              # full decode, checksums checked
 //! dol trace run --trace <file.dolt> --prefetcher TPC   # streaming replay
-//! dol bench diff <before.json> <after.json>    # compare two bench reports
 //! ```
 
 use std::fmt::Write as _;
@@ -31,8 +30,7 @@ fn usage() -> ! {
          [--insts N] [--seed S]\n  dol compare --workload <name> [--insts N] [--seed S]\n  \
          dol trace record (--workload <name> | --all) --dir <dir> [--insts N] [--seed S] \
          [--smoke]\n  dol trace info <file.dolt>\n  dol trace verify <file.dolt>...\n  \
-         dol trace run --trace <file.dolt> --prefetcher <config>\n  \
-         dol bench diff <before.json> <after.json>\n\
+         dol trace run --trace <file.dolt> --prefetcher <config>\n\
          \nconfigs: none, TPC, T2, P1, C1, T2+P1, TPC-plainPC, {} and TPC+<mono> / TPC|<mono>",
         dol_baselines::registry::MONOLITHIC_NAMES.join(", ")
     );
@@ -416,96 +414,6 @@ fn cmd_trace(argv: &[String]) {
     }
 }
 
-/// `dol bench diff <before.json> <after.json>`: total, per-phase, and
-/// per-driver wall-time deltas between two `dol-bench-v1` reports.
-fn cmd_bench(argv: &[String]) {
-    if argv.first().map(String::as_str) != Some("diff") {
-        usage()
-    }
-    let (Some(before_path), Some(after_path)) = (argv.get(1), argv.get(2)) else {
-        usage()
-    };
-    let before = read_report(before_path);
-    let after = read_report(after_path);
-    let pct = |b: f64, a: f64| -> String {
-        if b <= 0.0 {
-            format!("{:>8}", "n/a")
-        } else {
-            format!("{:+7.1}%", (a - b) / b * 100.0)
-        }
-    };
-    println!(
-        "bench diff: {before_path} ({}) -> {after_path} ({})",
-        before.mode, after.mode
-    );
-    println!(
-        "total: {:.3}s -> {:.3}s wall ({}), {:.2} -> {:.2} M inst/s ({})",
-        before.total_wall_s,
-        after.total_wall_s,
-        pct(before.total_wall_s, after.total_wall_s).trim_start(),
-        before.total_insts_per_s / 1e6,
-        after.total_insts_per_s / 1e6,
-        pct(before.total_insts_per_s, after.total_insts_per_s).trim_start()
-    );
-    match (&before.total_phases, &after.total_phases) {
-        (Some(b), Some(a)) => {
-            println!();
-            println!(
-                "{:<10} {:>10} {:>10} {:>8}",
-                "phase", "before", "after", "delta"
-            );
-            for (name, bs, av) in [
-                ("capture", b.capture_s, a.capture_s),
-                ("classify", b.classify_s, a.classify_s),
-                ("simulate", b.simulate_s, a.simulate_s),
-                ("metrics", b.metrics_s, a.metrics_s),
-                ("render", b.render_s, a.render_s),
-            ] {
-                println!("{name:<10} {bs:>9.3}s {av:>9.3}s {}", pct(bs, av));
-            }
-        }
-        _ => println!("(phase split missing on one side; per-phase deltas skipped)"),
-    }
-    println!();
-    println!(
-        "{:<12} {:>10} {:>10} {:>8}",
-        "driver", "before", "after", "delta"
-    );
-    for d in &after.drivers {
-        match before.driver(&d.id) {
-            Some(b) => println!(
-                "{:<12} {:>9.3}s {:>9.3}s {}{}",
-                d.id,
-                b.wall_s,
-                d.wall_s,
-                pct(b.wall_s, d.wall_s),
-                if d.cached || b.cached {
-                    " (cached)"
-                } else {
-                    ""
-                }
-            ),
-            None => println!("{:<12} {:>10} {:>9.3}s      new", d.id, "-", d.wall_s),
-        }
-    }
-    for b in &before.drivers {
-        if after.driver(&b.id).is_none() {
-            println!("{:<12} {:>9.3}s {:>10}     gone", b.id, b.wall_s, "-");
-        }
-    }
-}
-
-fn read_report(path: &str) -> dol_harness::bench::ParsedReport {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    dol_harness::bench::parse_report(&text).unwrap_or_else(|| {
-        eprintln!("{path} is not a dol-bench-v1 document");
-        std::process::exit(2);
-    })
-}
-
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match argv.first().map(String::as_str) {
@@ -513,7 +421,6 @@ fn main() {
         Some("run") => cmd_run(parse(&argv[1..])),
         Some("compare") => cmd_compare(parse(&argv[1..])),
         Some("trace") => cmd_trace(&argv[1..]),
-        Some("bench") => cmd_bench(&argv[1..]),
         _ => usage(),
     }
 }

@@ -3,6 +3,6 @@
 use dol_harness::{experiments, RunPlan};
 
 fn main() {
-    let plan = RunPlan::from_env().unwrap_or_else(|e| e.exit());
+    let plan = RunPlan::from_env_no_args();
     println!("{}", experiments::fig16::run(&plan).render());
 }

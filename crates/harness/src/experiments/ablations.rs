@@ -36,9 +36,7 @@ pub fn drop_policy(plan: &RunPlan) -> Report {
             let mut ps: Vec<Tpc> = (0..4).map(|_| Tpc::full()).collect();
             let mut refs: Vec<&mut dyn Prefetcher> =
                 ps.iter_mut().map(|p| p as &mut dyn Prefetcher).collect();
-            let r = crate::phase::timed(crate::phase::Phase::Simulate, || {
-                sys.run_multi(&members, &mut refs)
-            });
+            let r = sys.run_multi(&members, &mut refs);
             weighted_speedup(&r.ipcs(), &alone)
         };
         let random = ws_with(DropPolicy::Random);

@@ -70,9 +70,7 @@ fn mix_speedups(plan: &RunPlan) -> Vec<f64> {
                 .collect();
             let mut refs: Vec<&mut dyn Prefetcher> =
                 ps.iter_mut().map(|p| p as &mut dyn Prefetcher).collect();
-            let r = crate::phase::timed(crate::phase::Phase::Simulate, || {
-                sys4.run_multi(&members, &mut refs)
-            });
+            let r = sys4.run_multi(&members, &mut refs);
             weighted_speedup(&r.ipcs(), &alone)
         };
         let ws_none = ws_of("none");

@@ -80,13 +80,11 @@ pub fn run(plan: &RunPlan) -> Report {
                     StreamingMetrics::new().with_region(region.clone()),
                 );
                 let aa = solo.metrics.accuracy_in_region(CacheLevel::L1, None);
-                let sa = crate::phase::timed(crate::phase::Phase::Metrics, || {
-                    dol_metrics::scope::scope_within(
-                        &base.fp_l1,
-                        &solo.metrics.prefetched_lines_all(),
-                        &region,
-                    )
-                });
+                let sa = dol_metrics::scope::scope_within(
+                    &base.fp_l1,
+                    &solo.metrics.prefetched_lines_all(),
+                    &region,
+                );
 
                 // As an extra component behind TPC.
                 let comp = AppRun::run_streaming(
@@ -100,9 +98,7 @@ pub fn run(plan: &RunPlan) -> Report {
                     .metrics
                     .accuracy_in_region(CacheLevel::L1, Some(&[origin]));
                 let pfp = comp.metrics.prefetched_lines_of(&[origin]);
-                let sc = crate::phase::timed(crate::phase::Phase::Metrics, || {
-                    dol_metrics::scope::scope_within(&base.fp_l1, &pfp, &region)
-                });
+                let sc = dol_metrics::scope::scope_within(&base.fp_l1, &pfp, &region);
                 (aa, sa, ac, sc)
             })
             .collect();

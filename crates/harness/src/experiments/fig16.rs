@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use dol_cpu::{DestinationPolicy, System, SystemConfig};
-use dol_metrics::{geomean, Category, TextTable};
+use dol_metrics::{geomean, Category, StreamingMetrics, TextTable};
 
 use crate::bands::Expectation;
 use crate::experiments::Report;
@@ -27,9 +27,7 @@ pub fn run(plan: &RunPlan) -> Report {
     let specs = plan.cap_suite(dol_workloads::spec21());
     let per_app: Vec<Vec<Vec<f64>>> = crate::sweep::map(plan.jobs, &specs, |spec| {
         let base = BaselineRun::capture(spec, plan);
-        let lhf_lines = Arc::new(crate::phase::timed(crate::phase::Phase::Metrics, || {
-            base.classifier.lines_in(Category::Lhf)
-        }));
+        let lhf_lines = Arc::new(base.classifier.lines_in(Category::Lhf));
         policies
             .iter()
             .map(|policy_name| {
@@ -46,10 +44,21 @@ pub fn run(plan: &RunPlan) -> Report {
                             }
                             _ => unreachable!(),
                         };
+                        let stratified = matches!(policy, DestinationPolicy::StratifiedByLine(_));
                         let mut sys_cfg = SystemConfig::isca2018(1);
                         sys_cfg.dest_policy = policy;
                         let sys = System::new(sys_cfg);
-                        AppRun::run(&base, cfg, &sys).speedup(&base)
+                        let run = if stratified {
+                            // No other driver builds this system, and its
+                            // memo key would embed the whole LHF line set:
+                            // run it directly instead of through the memo.
+                            let sm =
+                                StreamingMetrics::new().with_classifier(base.classifier.clone());
+                            AppRun::run_streaming(&base, cfg, &sys, sm)
+                        } else {
+                            AppRun::run(&base, cfg, &sys)
+                        };
+                        run.speedup(&base)
                     })
                     .collect()
             })

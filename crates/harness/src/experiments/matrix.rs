@@ -96,18 +96,6 @@ fn summarize(
     base_l1: u64,
     base_l2: u64,
 ) -> ConfigSummary {
-    crate::phase::timed(crate::phase::Phase::Metrics, || {
-        summarize_inner(cfg, base, run, base_l1, base_l2)
-    })
-}
-
-fn summarize_inner(
-    cfg: &str,
-    base: &BaselineRun,
-    run: &AppRun,
-    base_l1: u64,
-    base_l2: u64,
-) -> ConfigSummary {
     let sm = &run.metrics;
     let pfp = sm.prefetched_lines_all();
     let acc_l1 = sm.accuracy_at(CacheLevel::L1, None);

@@ -58,8 +58,8 @@ impl Report {
 pub type Driver = fn(&crate::RunPlan) -> Report;
 
 /// Every figure/table driver with its stable identifier, in paper order.
-/// `run_all` binaries iterate this list so they can time each driver
-/// individually (the `BENCH_sim.json` artifact).
+/// `run_all` iterates this list, and the repository benchmark times each
+/// driver in it individually.
 pub fn drivers() -> Vec<(&'static str, Driver)> {
     vec![
         ("table1", table1::run),
@@ -85,9 +85,4 @@ pub fn drivers() -> Vec<(&'static str, Driver)> {
         // still diff clean.
         ("multicore", multicore::run),
     ]
-}
-
-/// Runs every experiment in paper order.
-pub fn run_all(plan: &crate::RunPlan) -> Vec<Report> {
-    drivers().into_iter().map(|(_, run)| run(plan)).collect()
 }

@@ -97,9 +97,7 @@ fn corun(sys4: &System, members: &[Workload; 4], configs: &[&str; 4]) -> CoRun {
         .collect();
     let ps: &mut [prefetchers::Built; 4] = (&mut ps[..]).try_into().expect("4 cores");
     let mut metrics = StreamingMetrics::new();
-    let result = crate::phase::timed(crate::phase::Phase::Simulate, || {
-        sys4.run_corun(members, ps, &mut metrics)
-    });
+    let result = sys4.run_corun(members, ps, &mut metrics);
     CoRun { result, metrics }
 }
 

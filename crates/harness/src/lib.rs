@@ -19,14 +19,12 @@
 //!
 //! The default plan simulates 1 M instructions per workload (the paper
 //! uses 5 × 10 M-instruction SimPoints). Override with the `DOL_INSTS`
-//! environment variable; benches use [`RunPlan::quick`].
+//! environment variable; tests use [`RunPlan::quick`].
 
 pub mod analysis;
 pub mod bands;
-pub mod bench;
 pub mod experiments;
 mod memo;
-pub mod phase;
 pub mod plan;
 pub mod prefetchers;
 pub mod runner;

@@ -31,7 +31,9 @@ pub(crate) type CaptureKey = (String, u64, u64);
 /// `(config, system fingerprint, workload name, insts, seed)` —
 /// everything an [`AppRun::run`] depends on. The system is keyed by its
 /// `Debug` rendering: drivers such as fig16 reuse one config name across
-/// structurally different systems (prefetch destination sweeps).
+/// structurally different systems (prefetch destination sweeps). Its
+/// oracle-stratified runs bypass the table, since their system's
+/// rendering would carry the whole LHF line set.
 pub(crate) type AppRunKey = (String, String, String, u64, u64);
 
 /// `(trace length, trace content hash)`; the length guards against hash

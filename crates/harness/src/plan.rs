@@ -100,7 +100,7 @@ impl RunPlan {
         }
     }
 
-    /// A reduced plan for Criterion benches and smoke tests.
+    /// A reduced plan for unit and smoke tests.
     pub fn quick() -> Self {
         RunPlan {
             insts: 120_000,
@@ -131,6 +131,25 @@ impl RunPlan {
     /// error, never silently ignored or clamped.
     pub fn from_env() -> Result<Self, EnvError> {
         Self::from_vars(process_env)
+    }
+
+    /// The plan of a binary that takes no arguments: [`from_env`](Self::from_env),
+    /// after refusing any command-line argument with a usage line on
+    /// stderr and exit status 2. An invalid override exits as
+    /// [`EnvError::exit`] does.
+    pub fn from_env_no_args() -> Self {
+        let mut argv = std::env::args();
+        let bin = argv.next().unwrap_or_default();
+        if argv.next().is_some() {
+            let name = std::path::Path::new(&bin).file_name().unwrap_or_default();
+            eprintln!(
+                "usage: {} (no arguments; budget from DOL_INSTS / DOL_MIXES / DOL_JOBS / \
+                 DOL_TRACE_DIR)",
+                name.to_string_lossy()
+            );
+            std::process::exit(2);
+        }
+        Self::from_env().unwrap_or_else(|e| e.exit())
     }
 
     /// [`from_env`](Self::from_env) over the variables `lookup` returns.

@@ -19,18 +19,14 @@ use dol_metrics::{classify_trace, Classifier, Footprint, FootprintSink, Streamin
 use dol_workloads::Spec;
 
 use crate::memo::{self, AppRunKey, CaptureKey};
-use crate::phase::{timed, Phase};
 use crate::plan::RunPlan;
 use crate::prefetchers;
 
 /// Classifies `trace`, reusing a memoized result when a bit-identical
-/// trace was classified before. Time (including the content hash) is
-/// attributed to the classify phase.
+/// trace was classified before.
 pub fn classify_cached(trace: &Trace) -> Arc<Classifier> {
-    timed(Phase::Classify, || {
-        let key = (trace.len(), trace.content_hash());
-        memo::CLASSIFIERS.get_or_compute(key, 1, || classify_trace(trace))
-    })
+    let key = (trace.len(), trace.content_hash());
+    memo::CLASSIFIERS.get_or_compute(key, 1, || classify_trace(trace))
 }
 
 /// A captured workload with its baseline (no-prefetch) run and offline
@@ -68,7 +64,7 @@ impl BaselineRun {
     }
 
     fn capture_uncached(spec: &Spec, plan: &RunPlan, key: CaptureKey) -> Self {
-        let workload = timed(Phase::Capture, || match &plan.trace_dir {
+        let workload = match &plan.trace_dir {
             // Replay path: decode the recorded trace instead of running
             // the functional VM. The decoded workload is bit-identical
             // to a live capture, so everything downstream (including the
@@ -82,12 +78,10 @@ impl BaselineRun {
             }),
             None => Workload::capture(spec.build_vm(plan.seed), plan.insts)
                 .unwrap_or_else(|e| panic!("workload {} failed: {e}", spec.name)),
-        });
+        };
         let mut none = dol_core::NoPrefetcher;
         let mut fp = FootprintSink::new(CacheLevel::L1);
-        let result = timed(Phase::Simulate, || {
-            single_core().run_with_sink(&workload, &mut none, &mut fp)
-        });
+        let result = single_core().run_with_sink(&workload, &mut none, &mut fp);
         let classifier = classify_cached(&workload.trace);
         let mpki = result.stats.cores[0].l1_misses as f64 * 1000.0 / result.instructions as f64;
         BaselineRun {
@@ -165,9 +159,7 @@ impl AppRun {
     ) -> Self {
         let mut p = prefetchers::build(config)
             .unwrap_or_else(|| panic!("unknown prefetcher config {config}"));
-        let result = timed(Phase::Simulate, || {
-            sys.run_with_sink(&base.workload, &mut p, &mut metrics)
-        });
+        let result = sys.run_with_sink(&base.workload, &mut p, &mut metrics);
         AppRun {
             config: config.to_string(),
             result,
@@ -188,9 +180,9 @@ impl AppRun {
 }
 
 /// Empties the capture, per-config run and classifier memo tables, so
-/// the next run re-simulates everything from scratch. Used by
-/// `run_all --bench-repeat`, where a repeat pass served from the memo
-/// would measure bookkeeping instead of simulation throughput.
+/// the next run re-simulates everything from scratch. A benchmark that
+/// repeats a workload calls this between iterations, so a repeat served
+/// from the memo does not measure bookkeeping instead of simulation.
 pub fn clear_run_caches() {
     memo::clear();
 }
@@ -208,7 +200,7 @@ pub fn run_configs(base: &BaselineRun, configs: &[&str], sys: &System) -> Vec<Ap
 /// Runs one workload under one boxed prefetcher (for callers that build
 /// prefetchers themselves).
 pub fn run_with(base: &BaselineRun, p: &mut dyn Prefetcher, sys: &System) -> RunResult {
-    timed(Phase::Simulate, || sys.run(&base.workload, p))
+    sys.run(&base.workload, p)
 }
 
 #[cfg(test)]

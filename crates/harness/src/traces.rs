@@ -4,13 +4,11 @@
 //! encode it to `<dir>/<name>.dolt`; [`load_workload`] decodes such a
 //! file into the same [`Workload`] a live capture would produce —
 //! bit-identical, so every downstream report is byte-identical whether a
-//! run was live or replayed. Decode wall time and volume are folded into
-//! [`dol_trace::telemetry`] for the bench artifact.
+//! run was live or replayed.
 
 use std::fs::File;
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use dol_cpu::Workload;
 use dol_trace::{decode_workload, encode_workload, TraceError, TraceHeader};
@@ -57,18 +55,13 @@ pub fn record_all(plan: &RunPlan, dir: &Path) -> Result<Vec<(String, u64)>, Trac
 }
 
 /// Decodes `<trace_dir>/<name>.dolt` into a [`Workload`], validating the
-/// header against the plan, and records decode throughput in
-/// [`dol_trace::telemetry`].
+/// header against the plan.
 pub fn load_workload(trace_dir: &Path, name: &str, plan: &RunPlan) -> Result<Workload, TraceError> {
     let path = trace_path(trace_dir, name);
     // Plain file reads: the bulk decode reads whole frames straight into
     // their payload buffer.
     let file = File::open(&path)?;
-    let start = Instant::now();
     let (header, memory, trace) = decode_workload(file)?;
-    let nanos = start.elapsed().as_nanos() as u64;
-    let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-    dol_trace::telemetry::record_decode(bytes, trace.len() as u64, nanos);
     if header.name != name {
         return Err(TraceError::Corrupt(format!(
             "{} holds workload {:?}, expected {:?}",

@@ -1,6 +1,7 @@
 //! A garbage or out-of-range `DOL_INSTS` / `DOL_MIXES` / `DOL_JOBS` value
 //! stops a figure binary with exit status 2 and an error naming the
-//! variable and the value, before any simulation runs.
+//! variable and the value, before any simulation runs. So does any
+//! command-line argument: the one-line figure binaries take none.
 
 use std::process::Command;
 
@@ -39,4 +40,17 @@ fn garbage_dol_mixes_exits_2() {
 fn garbage_dol_jobs_exits_2() {
     assert_refused("DOL_JOBS", "-3");
     assert_refused("DOL_JOBS", "1000");
+}
+
+#[test]
+fn any_argument_to_a_figure_binary_exits_2() {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_table1"));
+    for v in VARS {
+        cmd.env_remove(v);
+    }
+    let out = cmd.arg("--smoke").output().expect("table1 runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr {stderr}");
+    assert!(stderr.starts_with("usage: table1"), "stderr {stderr}");
+    assert!(out.stdout.is_empty(), "nothing is simulated or printed");
 }

@@ -76,7 +76,6 @@
 mod codec;
 mod crc;
 mod reader;
-pub mod telemetry;
 mod varint;
 mod writer;
 
