@@ -126,18 +126,37 @@ pub enum MemEvent {
 /// behaviour for tests, debugging, and ad-hoc event analysis;
 /// [`NullSink`] discards events for runs that only need timing and
 /// counters.
+///
+/// The hierarchy's shadow tags, which replay every demand access in the
+/// no-prefetch reality, run only for sinks that read pollution
+/// ([`reads_pollution`](Self::reads_pollution)): their state reaches the
+/// [`MemEvent::AvoidedMiss`] and [`MemEvent::InducedMiss`] events only,
+/// never a [`crate::DemandOutcome`], a timing or a counter.
 pub trait EventSink {
     /// Receives one event, in emission order.
     fn emit(&mut self, ev: MemEvent);
+
+    /// Whether this sink reads [`MemEvent::AvoidedMiss`] and
+    /// [`MemEvent::InducedMiss`]; a sink that answers `false` never
+    /// receives them. The answer must not change over a run.
+    fn reads_pollution(&self) -> bool {
+        true
+    }
 }
 
-/// A sink that discards every event (timing/counter-only runs).
+/// A sink that discards every event (timing/counter-only runs); it reads
+/// no pollution, so its runs skip the shadow tags.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullSink;
 
 impl EventSink for NullSink {
     #[inline]
     fn emit(&mut self, _ev: MemEvent) {}
+
+    #[inline]
+    fn reads_pollution(&self) -> bool {
+        false
+    }
 }
 
 /// A sink that buffers every event — the pre-streaming behaviour,
@@ -229,5 +248,7 @@ mod tests {
         let mut v: Vec<MemEvent> = Vec::new();
         v.emit(ev);
         assert_eq!(v.len(), 1);
+        assert!(!NullSink.reads_pollution());
+        assert!(CollectSink::new().reads_pollution() && v.reads_pollution());
     }
 }

@@ -129,6 +129,12 @@ pub struct SystemStats {
 /// Metric events stream out through the [`EventSink`] each entry point
 /// takes; pass [`crate::NullSink`] to discard them or
 /// [`crate::CollectSink`] to buffer them (the pre-streaming behaviour).
+///
+/// One instance serves one kind of sink: the shadow tags track the
+/// no-prefetch reality only while the sink
+/// [reads pollution](EventSink::reads_pollution), so mixing kinds would
+/// leave them describing no reality. Build a fresh system per run, as the
+/// timing driver does; debug builds assert this.
 #[derive(Debug)]
 pub struct MemorySystem {
     cfg: HierarchyConfig,
@@ -153,6 +159,9 @@ pub struct MemorySystem {
     llc_cross_evictions: Vec<u64>,
     /// Subset of the above where the incoming fill was a prefetch.
     llc_prefetch_cross_evictions: Vec<u64>,
+    /// The first demand sink's [`EventSink::reads_pollution`]; recorded
+    /// and checked by debug builds only.
+    sink_reads_pollution: Option<bool>,
 }
 
 impl MemorySystem {
@@ -176,6 +185,7 @@ impl MemorySystem {
             llc_prefetch_fills: vec![0; n],
             llc_cross_evictions: vec![0; n],
             llc_prefetch_cross_evictions: vec![0; n],
+            sink_reads_pollution: None,
             cfg,
         }
     }
@@ -232,12 +242,20 @@ impl MemorySystem {
 
         // Alternative-reality bookkeeping: the shadow L2 sees exactly the
         // accesses that miss in the shadow L1 (the no-prefetch reality's
-        // L2 stream).
-        let shadow_l1_hit = self.l1_shadow[core].demand_access(line);
-        let shadow_l2_hit = if shadow_l1_hit {
-            None
+        // L2 stream). Shadow hits feed the pollution events only, so a
+        // sink that does not read them skips both shadows (`None`).
+        let reads_pollution = sink.reads_pollution();
+        debug_assert_eq!(
+            *self.sink_reads_pollution.get_or_insert(reads_pollution),
+            reads_pollution,
+            "one MemorySystem serves one kind of sink: shadow state must describe one reality"
+        );
+        let (shadow_l1_hit, shadow_l2_hit) = if reads_pollution {
+            let l1_hit = self.l1_shadow[core].demand_access(line);
+            let l2_hit = (!l1_hit).then(|| self.l2_shadow[core].demand_access(line));
+            (Some(l1_hit), l2_hit)
         } else {
-            Some(self.l2_shadow[core].demand_access(line))
+            (None, None)
         };
 
         // --- L1 ---
@@ -258,7 +276,7 @@ impl MemorySystem {
                         });
                     }
                 }
-                if !shadow_l1_hit {
+                if let Some(false) = shadow_l1_hit {
                     if let Some(origin) = prefetched_by {
                         sink.emit(MemEvent::AvoidedMiss {
                             core: core as u32,
@@ -282,7 +300,7 @@ impl MemorySystem {
             LookupOutcome::Miss => {}
         }
 
-        if shadow_l1_hit {
+        if let Some(true) = shadow_l1_hit {
             let blamed = self.l1[core].prefetch_origins_in_set(line);
             sink.emit(MemEvent::InducedMiss {
                 core: core as u32,

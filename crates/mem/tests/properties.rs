@@ -4,8 +4,8 @@ use std::collections::BTreeSet;
 
 use dol_isa::DetHashSet;
 use dol_mem::{
-    Cache, CacheConfig, HierarchyConfig, LineSet, LookupOutcome, MemorySystem, MshrFile, MshrStats,
-    Origin, ReplacementPolicy, ShadowTags,
+    Cache, CacheConfig, CacheLevel, CollectSink, HierarchyConfig, LineSet, LookupOutcome,
+    MemorySystem, MshrFile, MshrStats, NullSink, Origin, ReplacementPolicy, ShadowTags,
 };
 use proptest::prelude::*;
 
@@ -254,6 +254,52 @@ proptest! {
         );
     }
 
+    /// The shadow tags feed the pollution events only. A system driven
+    /// through `NullSink`, which reads no pollution and so skips both
+    /// shadows, answers every demand and prefetch exactly like one driven
+    /// through `CollectSink`, which runs them, and ends with the same
+    /// stats. The stream mixes loads, stores and L1/L2 prefetches from
+    /// several origins on one or two cores, over more lines than the tiny
+    /// L2 holds, at non-monotone timestamps.
+    #[test]
+    fn null_sink_skips_shadows_and_changes_no_outcome(
+        cores in 1u32..3,
+        ops in proptest::collection::vec((0u8..4, 0usize..2, 0u64..1024, 0u64..16, 0u64..200), 1..400),
+    ) {
+        let cfg = HierarchyConfig::tiny(cores);
+        let mut bare = MemorySystem::new(cfg);
+        let mut shadowed = MemorySystem::new(cfg);
+        let mut events = CollectSink::new();
+        let mut base = 0;
+        for (step, &(op, core, line, advance, jitter)) in ops.iter().enumerate() {
+            base += advance;
+            let now = base + jitter;
+            let core = core % cores as usize;
+            let addr = line * 64;
+            match op {
+                0 | 1 => {
+                    let is_write = op == 1;
+                    prop_assert_eq!(
+                        bare.demand_access(core, addr, is_write, now, 0x100, &mut NullSink),
+                        shadowed.demand_access(core, addr, is_write, now, 0x100, &mut events),
+                        "demand at step {}", step
+                    );
+                }
+                _ => {
+                    let dest = if op == 2 { CacheLevel::L1 } else { CacheLevel::L2 };
+                    let origin = Origin((line % 3) as u16);
+                    let confidence = (line * 37) as u8;
+                    prop_assert_eq!(
+                        bare.prefetch(core, addr, dest, origin, confidence, now, &mut NullSink),
+                        shadowed.prefetch(core, addr, dest, origin, confidence, now, &mut events),
+                        "prefetch at step {}", step
+                    );
+                }
+            }
+        }
+        prop_assert_eq!(bare.stats(), shadowed.stats());
+    }
+
     /// Prefetching any set of lines then demanding them never *increases*
     /// the demand miss count relative to no prefetching (with disjoint
     /// prefetch/demand interleaving and room in the cache, prefetching is
@@ -298,4 +344,22 @@ proptest! {
             }
         }
     }
+}
+
+/// Shadow state must describe one reality: a system that ran demands
+/// without shadow tags cannot later serve a sink that reads pollution.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "one MemorySystem serves one kind of sink")]
+fn switching_sink_kind_panics() {
+    let mut m = MemorySystem::new(HierarchyConfig::tiny(1));
+    let out = m.demand_access(0, 0, false, 0, 0x100, &mut NullSink);
+    m.demand_access(
+        0,
+        64,
+        false,
+        out.latency + 1,
+        0x100,
+        &mut CollectSink::new(),
+    );
 }

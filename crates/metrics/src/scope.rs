@@ -40,7 +40,8 @@ impl Footprint {
 
 /// An [`EventSink`] that accumulates the demand-miss footprint of one
 /// cache level — the streaming equivalent of [`footprint`]. Feed it a
-/// baseline (no-prefetch) run.
+/// baseline (no-prefetch) run. It reads only [`MemEvent::DemandMiss`], so
+/// its runs skip the shadow tags.
 #[derive(Debug, Clone)]
 pub struct FootprintSink {
     level: CacheLevel,
@@ -75,6 +76,11 @@ impl EventSink for FootprintSink {
                 self.fp.add_miss(line);
             }
         }
+    }
+
+    #[inline]
+    fn reads_pollution(&self) -> bool {
+        false
     }
 }
 

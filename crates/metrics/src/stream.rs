@@ -564,6 +564,7 @@ mod tests {
             for e in &events {
                 sink.emit(e.clone());
             }
+            assert!(!sink.reads_pollution(), "a footprint needs no shadow tags");
             let stream = sink.footprint();
             assert_eq!(replay.unique_lines(), stream.unique_lines());
             assert_eq!(replay.total_weight(), stream.total_weight());
@@ -571,6 +572,7 @@ mod tests {
                 assert_eq!(stream.weight(line), w);
             }
         }
+        assert!(sm.reads_pollution());
         assert_eq!(prefetched_lines(&events, None), sm.prefetched_lines_all());
         assert_eq!(
             prefetched_lines(&events, Some(&[Origin(5)])),
