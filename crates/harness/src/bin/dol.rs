@@ -245,7 +245,7 @@ fn cmd_compare(a: Args) {
     );
 }
 
-/// `dol trace record`: capture workloads to `dol-trace-v1` files.
+/// `dol trace record`: capture workloads to `dol-trace` files.
 fn cmd_trace_record(a: Args) {
     let Some(dir) = a.dir.as_deref() else { usage() };
     let dir = Path::new(dir);
@@ -309,7 +309,7 @@ fn cmd_trace_info(path: &str) {
         Ok(r) => {
             let h = r.header();
             let size = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-            println!("{path}: dol-trace-v1");
+            println!("{path}: dol-trace-v{}", dol_trace::VERSION);
             println!("  workload: {}", h.name);
             println!("  seed:     {}", h.seed);
             println!("  insts:    {}", h.insts);
@@ -368,7 +368,7 @@ fn cmd_trace_run(a: Args) {
     }
 }
 
-/// Streams the `dol-trace-v1` file at `path` through the single-core
+/// Streams the `dol-trace` file at `path` through the single-core
 /// timing model under `config` and renders the `dol trace run` report.
 fn render_replay(path: &str, config: &str) -> Result<String, String> {
     let Some(mut p) = prefetchers::build(config) else {

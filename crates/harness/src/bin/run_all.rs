@@ -8,7 +8,7 @@
 //! workloads per suite, one mix) — the offline CI gate runs this.
 //! `--jobs N` shards workloads across N worker threads (`0` = one per
 //! core); output is byte-identical for any job count. `--trace-dir DIR`
-//! replays workload captures from `dol-trace-v1` files recorded with
+//! replays workload captures from `dol-trace` files recorded with
 //! `dol trace record` instead of re-running the functional VM; replayed
 //! captures are bit-identical, so stdout is unchanged.
 //!

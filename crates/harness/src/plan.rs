@@ -81,7 +81,7 @@ pub struct RunPlan {
     /// Cap on workloads taken from each suite (smoke mode); `None`
     /// runs every workload.
     pub max_workloads: Option<usize>,
-    /// When set, workload captures are decoded from `dol-trace-v1` files
+    /// When set, workload captures are decoded from `dol-trace` files
     /// in this directory (`<dir>/<name>.dolt`) instead of re-running the
     /// functional VM. Replayed captures are bit-identical to live ones.
     pub trace_dir: Option<PathBuf>,

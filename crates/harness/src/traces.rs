@@ -1,4 +1,4 @@
-//! Recording workloads to `dol-trace-v1` files and loading them back.
+//! Recording workloads to `dol-trace` files and loading them back.
 //!
 //! `record`/`record_all` capture a workload with the functional VM and
 //! encode it to `<dir>/<name>.dolt`; [`load_workload`] decodes such a

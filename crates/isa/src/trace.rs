@@ -127,7 +127,7 @@ impl RetiredInst {
 /// The simulator's per-retire loop is its hottest path, so consumers
 /// (notably `dol_cpu::System::run`) are generic over this trait and
 /// monomorphize a direct call per source — an in-memory [`Trace`] via
-/// [`TraceCursor`] and a streaming on-disk trace (`dol-trace-v1`) compile
+/// [`TraceCursor`] and a streaming on-disk trace (`dol-trace`) compile
 /// to the same devirtualized edge, with no `dyn` dispatch per
 /// instruction.
 ///

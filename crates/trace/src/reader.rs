@@ -9,10 +9,10 @@ use crate::codec::{decode_inst, DeltaState};
 use crate::varint::read_u64;
 use crate::{
     crc32, TraceError, TraceHeader, FRAME_END, FRAME_HEADER, FRAME_INST, FRAME_MEM, MAGIC,
-    MAX_FRAME_BYTES, VERSION,
+    MAX_FRAME_BYTES, PAGE_BYTES, VERSION,
 };
 
-/// Reads a `dol-trace-v1` stream frame by frame.
+/// Reads a `dol-trace` stream frame by frame.
 ///
 /// Construction parses and validates the magic, version, and header
 /// frame. [`read_memory`](Self::read_memory) then consumes the memory
@@ -324,10 +324,19 @@ fn decode_memory_frame(payload: &[u8], mem: &mut SparseMemory) -> Result<(), Tra
     let mut page = 0u64;
     for _ in 0..count {
         page = page.wrapping_add(read_u64(payload, &mut pos)?);
-        // Words decode straight into the page's storage; on an error the
-        // half-filled image is discarded with the rest of the read.
-        for w in mem.page_mut(page.wrapping_mul(4096)).iter_mut() {
-            *w = read_u64(payload, &mut pos)?;
+        let Some(bytes) = payload.get(pos..pos + PAGE_BYTES) else {
+            return Err(TraceError::Corrupt(format!(
+                "memory page runs {} bytes past the frame end",
+                pos + PAGE_BYTES - payload.len()
+            )));
+        };
+        pos += PAGE_BYTES;
+        // The raw words copy straight into the page's storage; on an
+        // error the half-filled image is discarded with the rest of the
+        // read.
+        let words = mem.page_mut(page.wrapping_mul(PAGE_BYTES as u64));
+        for (w, b) in words.iter_mut().zip(bytes.chunks_exact(8)) {
+            *w = u64::from_le_bytes(b.try_into().expect("8 bytes"));
         }
     }
     if pos != payload.len() {

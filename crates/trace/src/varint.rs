@@ -26,8 +26,8 @@ pub fn write_u64(buf: &mut Vec<u8>, mut v: u64) {
 /// covers every varint of up to 8 bytes. The stop byte (the first with
 /// its high bit clear) is found with a mask, the bytes past it are
 /// masked off, and the 7-bit groups are packed together with three
-/// shift-and-mask steps. Full-width words (memory-image data, load
-/// values) are 9 or 10 bytes long and take one or two more byte reads.
+/// shift-and-mask steps. Full-width words (load values) are 9 or 10
+/// bytes long and take one or two more byte reads.
 /// Near the end of the buffer, and on every malformed input, decoding
 /// falls back to [`read_u64_slow`], so errors come out of one place.
 /// Forced inline: the instruction decoder calls it at up to seven sites,

@@ -8,10 +8,10 @@ use crate::codec::{encode_inst, DeltaState};
 use crate::varint::write_u64;
 use crate::{
     crc32, TraceError, TraceHeader, CHUNK_TARGET_BYTES, FRAME_END, FRAME_HEADER, FRAME_INST,
-    FRAME_MEM, MAGIC, PAGES_PER_FRAME, VERSION,
+    FRAME_MEM, MAGIC, PAGES_PER_FRAME, PAGE_BYTES, VERSION,
 };
 
-/// Writes a `dol-trace-v1` stream chunk by chunk.
+/// Writes a `dol-trace` stream chunk by chunk.
 ///
 /// Usage order is fixed: construct (writes magic + header), optionally
 /// [`write_memory`](Self::write_memory), then [`push`](Self::push)
@@ -79,17 +79,16 @@ impl<W: Write> TraceWriter<W> {
         );
         let pages = mem.pages_sorted();
         for group in pages.chunks(PAGES_PER_FRAME) {
-            // Worst case: ten varint bytes per page delta and per word.
-            let mut payload =
-                Vec::with_capacity(2 + group.len() * 10 * (1 + SparseMemory::PAGE_WORDS));
+            // At most ten varint bytes per page delta, then the raw page.
+            let mut payload = Vec::with_capacity(2 + group.len() * (10 + PAGE_BYTES));
             payload.extend_from_slice(&(group.len() as u16).to_le_bytes());
             let mut prev_page = 0u64;
             for &(addr, words) in group {
-                let page = addr / 4096;
+                let page = addr / PAGE_BYTES as u64;
                 write_u64(&mut payload, page.wrapping_sub(prev_page));
                 prev_page = page;
                 for &word in words.iter() {
-                    write_u64(&mut payload, word);
+                    payload.extend_from_slice(&word.to_le_bytes());
                 }
             }
             self.bytes_written += write_frame(&mut self.w, FRAME_MEM, &payload)?;

@@ -109,6 +109,77 @@ fn a_future_format_version_is_unsupported() {
 }
 
 #[test]
+fn a_version_1_file_is_unsupported() {
+    // Version 1 stored memory pages as per-word varints; no reader for
+    // it is kept, so such a file is refused before any frame is read.
+    let mut bytes = sample_trace();
+    bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&1u32.to_le_bytes());
+    match decode_workload(&bytes[..]) {
+        Err(TraceError::UnsupportedVersion(1)) => {}
+        other => panic!("expected UnsupportedVersion(1), got {other:?}"),
+    }
+}
+
+/// The textbook bit-at-a-time CRC-32 (IEEE), to re-seal edited frames.
+fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
+/// `bytes` with the payload of its only memory frame passed through
+/// `edit`, and that frame's length and CRC rewritten to match, so the
+/// damage gets past the checksum to the page decoder.
+fn with_memory_frame_edited(bytes: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    // After the 12-byte magic and version, frames are
+    // `tag u8 | len u32 LE | crc u32 LE | payload`.
+    let mut at = MAGIC.len() + 4;
+    while bytes[at] != b'M' {
+        at += 9 + u32::from_le_bytes(bytes[at + 1..at + 5].try_into().unwrap()) as usize;
+    }
+    let len = u32::from_le_bytes(bytes[at + 1..at + 5].try_into().unwrap()) as usize;
+    let mut payload = bytes[at + 9..at + 9 + len].to_vec();
+    edit(&mut payload);
+    let mut out = bytes[..at + 1].to_vec();
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(&payload).to_le_bytes());
+    out.extend_from_slice(&payload);
+    out.extend_from_slice(&bytes[at + 9 + len..]);
+    out
+}
+
+#[test]
+fn a_memory_frame_that_lies_about_its_pages_is_corrupt() {
+    let bytes = sample_trace();
+    // The frame holds one page: the page count, a one-byte page delta
+    // and 4096 raw bytes. Cut the page by one word and by all but one
+    // byte, and add bytes after it; each edit re-seals the CRC, so the
+    // page decoder must catch it.
+    for (delta, want) in [
+        (-8, "past the frame end"),
+        (-4095, "past the frame end"),
+        (3, "trailing"),
+    ] {
+        let bad = with_memory_frame_edited(&bytes, |p| {
+            p.resize(p.len().checked_add_signed(delta).unwrap(), 0)
+        });
+        match decode_workload(&bad[..]) {
+            Err(TraceError::Corrupt(msg)) => assert!(msg.contains(want), "{delta:+}: {msg}"),
+            other => panic!("{delta:+} bytes: expected Corrupt, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn a_wrong_magic_is_bad_magic() {
     let mut bytes = sample_trace();
     bytes[0] = b'X';

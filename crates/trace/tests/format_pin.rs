@@ -1,4 +1,5 @@
-//! Pins the exact `dol-trace-v1` bytes of one fixed workload.
+//! Pins the exact `dol-trace` bytes (format version 2) of one fixed
+//! workload.
 //!
 //! The workload is synthetic and built here from a fixed seed (not from
 //! `dol-workloads`, whose kernels may change), and it exercises every
@@ -9,12 +10,12 @@
 //! [`dol_trace::VERSION`] and re-record the pin.
 
 use dol_isa::{InstKind, Reg, RetiredInst, SparseMemory};
-use dol_trace::{decode_workload, encode_workload, TraceHeader};
+use dol_trace::{decode_workload, encode_workload, TraceHeader, VERSION};
 
 /// Length of the pinned encoding, in bytes.
-const PINNED_LEN: usize = 231_825;
+const PINNED_LEN: usize = 313_125;
 /// FNV-1a 64 of the pinned encoding.
-const PINNED_FNV1A: u64 = 0x3fef_bc10_9eff_954b;
+const PINNED_FNV1A: u64 = 0x5bb8_6bfd_4bae_3242;
 
 /// SplitMix64: a fixed, dependency-free generator for the workload.
 struct SplitMix(u64);
@@ -117,7 +118,7 @@ fn encoding_of_the_pinned_workload_is_unchanged() {
     assert_eq!(
         (bytes.len(), fnv1a(&bytes)),
         (PINNED_LEN, PINNED_FNV1A),
-        "dol-trace-v1 encoding changed: got len {} fnv1a {:#018x}",
+        "dol-trace v{VERSION} encoding changed: got len {} fnv1a {:#018x}",
         bytes.len(),
         fnv1a(&bytes)
     );

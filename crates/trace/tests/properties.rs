@@ -1,4 +1,4 @@
-//! Property-based tests for the `dol-trace-v1` codec plus full
+//! Property-based tests for the `dol-trace` codec plus full
 //! record→replay round-trips over every embedded workload.
 
 use dol_isa::{InstKind, InstSource, Reg, RetiredInst, SparseMemory};
