@@ -40,7 +40,7 @@ impl Workload {
         let trace = vm.run_uop(max_insts)?;
         Ok(Workload {
             trace,
-            memory: vm.memory().clone(),
+            memory: std::mem::take(vm.memory_mut()),
         })
     }
 
@@ -51,7 +51,7 @@ impl Workload {
         let trace = vm.run(max_insts)?;
         Ok(Workload {
             trace,
-            memory: vm.memory().clone(),
+            memory: std::mem::take(vm.memory_mut()),
         })
     }
 }

@@ -4,7 +4,6 @@ use crate::{CacheConfig, Origin, ReplacementPolicy};
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Line {
-    tag: u64,
     dirty: bool,
     /// Set when a demand access touches the line after its fill.
     used: bool,
@@ -104,10 +103,11 @@ fn scan_dyn(tags: &[u64], line: u64) -> Option<usize> {
 /// useful/useless prefetch and pollution accounting.
 ///
 /// Lookups scan a packed parallel tag array (`tags`) instead of the
-/// ~40-byte [`Line`] records: a set's tags share one cache line of host
+/// 24-byte [`Line`] records: a set's tags share one cache line of host
 /// memory, and the common miss case never touches line metadata at all.
-/// `tags` is also the one record of validity: `tags[i]` is [`NO_TAG`]
-/// exactly when way `i` is invalid, and equals `lines[i].tag` otherwise.
+/// `tags` is also the one record of validity and identity: `tags[i]` is
+/// [`NO_TAG`] exactly when way `i` is invalid, and the line address it
+/// holds otherwise.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
@@ -276,9 +276,10 @@ impl Cache {
             stamp
         };
         let l = &mut self.lines[victim_at];
-        let evicted = if self.tags[victim_at] != NO_TAG {
+        let victim = self.tags[victim_at];
+        let evicted = if victim != NO_TAG {
             Some(EvictInfo {
-                line: l.tag,
+                line: victim,
                 dirty: l.dirty,
                 unused_prefetch: if l.used { None } else { l.prefetch },
                 owner: l.owner,
@@ -287,7 +288,6 @@ impl Cache {
             None
         };
         *l = Line {
-            tag: line,
             dirty,
             used: false,
             prefetch: origin,

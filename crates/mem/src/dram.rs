@@ -1,5 +1,6 @@
 //! A banked DDR3-like main-memory model with finite queues.
 
+use crate::inflight::Inflight;
 use crate::{DramConfig, LINE_BYTES};
 
 /// What a full channel queue does with an arriving prefetch.
@@ -87,13 +88,13 @@ struct Bank {
     lru: usize,
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct Channel {
     /// Bus-issue completion times of requests still waiting in the
     /// scheduler queue. An entry leaves the queue once its command has
     /// been issued to the bank (data return is tracked by the caller);
     /// the queue therefore fills only when bandwidth saturates.
-    inflight: Vec<u64>,
+    queue: Inflight<()>,
     /// Command/data-bus serialization point.
     next_issue: u64,
 }
@@ -106,6 +107,13 @@ struct Channel {
 /// transfer). Each channel has a finite queue; when it is full, demands
 /// and writebacks wait while prefetches are subject to the
 /// [`DropPolicy`].
+///
+/// A request first expires the queue entries issued by its `now`, under
+/// the rule the MSHR files share (`Inflight`: eager at each request's
+/// timestamp, which need not be monotone, so occupancy is exactly what a
+/// `retain` on every request leaves). The queue caches its earliest
+/// issue time: a request before it skips the sweep, and a demand or
+/// writeback at a full queue waits until that cycle without scanning.
 #[derive(Debug, Clone)]
 pub struct Dram {
     cfg: DramConfig,
@@ -128,10 +136,17 @@ impl Dram {
             cfg.banks_per_channel.is_power_of_two(),
             "bank count must be a power of two"
         );
+        assert!(cfg.queue_capacity > 0, "need at least one DRAM queue slot");
         Dram {
             cfg,
             banks: vec![Bank::default(); (cfg.channels * cfg.banks_per_channel) as usize],
-            channels: vec![Channel::default(); cfg.channels as usize],
+            channels: vec![
+                Channel {
+                    queue: Inflight::with_capacity(cfg.queue_capacity as usize),
+                    next_issue: 0,
+                };
+                cfg.channels as usize
+            ],
             stats: DramStats::default(),
         }
     }
@@ -170,8 +185,8 @@ impl Dram {
     /// `None` if the request was a prefetch shed by the drop policy.
     pub fn request(&mut self, line: u64, kind: DramRequest, now: u64) -> Option<u64> {
         let (ch_idx, bank_idx) = self.route(line);
-        self.channels[ch_idx].inflight.retain(|&t| t > now);
-        let occupancy = self.channels[ch_idx].inflight.len();
+        self.channels[ch_idx].queue.expire(now, |_| {});
+        let occupancy = self.channels[ch_idx].queue.len();
         let capacity = self.cfg.queue_capacity as usize;
 
         let mut start = now;
@@ -190,14 +205,9 @@ impl Dram {
         } else if occupancy >= capacity {
             // Demands and writebacks wait for a queue slot.
             self.stats.queue_full_waits += 1;
-            let earliest = self.channels[ch_idx]
-                .inflight
-                .iter()
-                .copied()
-                .min()
-                .expect("queue is full");
-            start = start.max(earliest);
-            self.channels[ch_idx].inflight.retain(|&t| t > start);
+            let queue = &mut self.channels[ch_idx].queue;
+            start = start.max(queue.earliest());
+            queue.expire(start, |_| {});
         }
 
         let row = self.row_of(line);
@@ -227,7 +237,7 @@ impl Dram {
         let finish = begin + row_overhead + self.cfg.t_access;
         bank.ready_at = begin + row_overhead + BURST_CYCLES;
         ch.next_issue = begin + BURST_CYCLES;
-        ch.inflight.push(begin + row_overhead + BURST_CYCLES);
+        ch.queue.push((), begin + row_overhead + BURST_CYCLES);
 
         match kind {
             DramRequest::DemandRead => self.stats.demand_reads += 1,

@@ -128,10 +128,10 @@ pub enum MemEvent {
 /// counters.
 ///
 /// The hierarchy's shadow tags, which replay every demand access in the
-/// no-prefetch reality, run only for sinks that read pollution
-/// ([`reads_pollution`](Self::reads_pollution)): their state reaches the
-/// [`MemEvent::AvoidedMiss`] and [`MemEvent::InducedMiss`] events only,
-/// never a [`crate::DemandOutcome`], a timing or a counter.
+/// no-prefetch reality, are built and run only for sinks that read
+/// pollution ([`reads_pollution`](Self::reads_pollution)): their state
+/// reaches the [`MemEvent::AvoidedMiss`] and [`MemEvent::InducedMiss`]
+/// events only, never a [`crate::DemandOutcome`], a timing or a counter.
 pub trait EventSink {
     /// Receives one event, in emission order.
     fn emit(&mut self, ev: MemEvent);

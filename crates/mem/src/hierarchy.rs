@@ -140,9 +140,12 @@ pub struct MemorySystem {
     cfg: HierarchyConfig,
     l1: Vec<Cache>,
     l1_mshr: Vec<MshrFile>,
+    /// Per-core shadow tags, built by the first demand from a sink that
+    /// reads pollution (empty until then, and for other sinks).
     l1_shadow: Vec<ShadowTags>,
     l2: Vec<Cache>,
     l2_mshr: Vec<MshrFile>,
+    /// Built together with `l1_shadow`.
     l2_shadow: Vec<ShadowTags>,
     l3: Cache,
     l3_mshr: MshrFile,
@@ -171,10 +174,10 @@ impl MemorySystem {
         MemorySystem {
             l1: (0..n).map(|_| Cache::new(cfg.l1d)).collect(),
             l1_mshr: (0..n).map(|_| MshrFile::new(cfg.l1d.mshrs)).collect(),
-            l1_shadow: (0..n).map(|_| ShadowTags::new(&cfg.l1d)).collect(),
+            l1_shadow: Vec::new(),
             l2: (0..n).map(|_| Cache::new(cfg.l2)).collect(),
             l2_mshr: (0..n).map(|_| MshrFile::new(cfg.l2.mshrs)).collect(),
-            l2_shadow: (0..n).map(|_| ShadowTags::new(&cfg.l2)).collect(),
+            l2_shadow: Vec::new(),
             l3: Cache::new(cfg.l3),
             l3_mshr: MshrFile::new(cfg.l3.mshrs),
             pf_l1: (0..n).map(|_| MshrFile::new(cfg.l1d.mshrs)).collect(),
@@ -188,6 +191,14 @@ impl MemorySystem {
             sink_reads_pollution: None,
             cfg,
         }
+    }
+
+    /// Builds both shadow tag arrays of every core. Only a sink that
+    /// reads pollution uses them, so they cost nothing to other runs.
+    fn build_shadows(&mut self) {
+        let n = self.cfg.cores as usize;
+        self.l1_shadow = (0..n).map(|_| ShadowTags::new(&self.cfg.l1d)).collect();
+        self.l2_shadow = (0..n).map(|_| ShadowTags::new(&self.cfg.l2)).collect();
     }
 
     /// The configuration in use.
@@ -243,7 +254,8 @@ impl MemorySystem {
         // Alternative-reality bookkeeping: the shadow L2 sees exactly the
         // accesses that miss in the shadow L1 (the no-prefetch reality's
         // L2 stream). Shadow hits feed the pollution events only, so a
-        // sink that does not read them skips both shadows (`None`).
+        // sink that does not read them skips both shadows (`None`) and
+        // never builds them.
         let reads_pollution = sink.reads_pollution();
         debug_assert_eq!(
             *self.sink_reads_pollution.get_or_insert(reads_pollution),
@@ -251,6 +263,9 @@ impl MemorySystem {
             "one MemorySystem serves one kind of sink: shadow state must describe one reality"
         );
         let (shadow_l1_hit, shadow_l2_hit) = if reads_pollution {
+            if self.l1_shadow.is_empty() {
+                self.build_shadows();
+            }
             let l1_hit = self.l1_shadow[core].demand_access(line);
             let l2_hit = (!l1_hit).then(|| self.l2_shadow[core].demand_access(line));
             (Some(l1_hit), l2_hit)

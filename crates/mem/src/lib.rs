@@ -37,13 +37,14 @@ mod config;
 mod dram;
 mod events;
 mod hierarchy;
+mod inflight;
 mod line_set;
 mod mshr;
 mod shadow;
 
 pub use cache::{Cache, EvictInfo, LookupOutcome};
 pub use config::{CacheConfig, DramConfig, HierarchyConfig, ReplacementPolicy};
-pub use dram::{Dram, DramRequest, DramStats, DropPolicy};
+pub use dram::{Dram, DramRequest, DramStats, DropPolicy, LOW_CONFIDENCE};
 pub use events::{CollectSink, DropReason, EventSink, MemEvent, NullSink, Origin};
 pub use hierarchy::{DemandOutcome, MemorySystem, PrefetchOutcome, SharedStats, SystemStats};
 pub use line_set::LineSet;

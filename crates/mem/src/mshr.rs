@@ -1,5 +1,7 @@
 //! Miss-status holding registers.
 
+use crate::inflight::Inflight;
+
 /// Contention counters for one MSHR file.
 ///
 /// Stalls are counted at [`MshrFile::next_free`]: each query that finds
@@ -17,6 +19,33 @@ pub struct MshrStats {
     pub peak_occupancy: u32,
 }
 
+/// A 256-bit presence filter over line addresses: a clear bit proves the
+/// line absent, a set bit means "maybe present".
+#[derive(Debug, Clone, Copy, Default)]
+struct LineFilter([u64; 4]);
+
+impl LineFilter {
+    /// Bit of `line`: the top 8 bits of a multiplicative (Fibonacci) hash,
+    /// so neighbouring and power-of-two-strided lines spread out.
+    #[inline]
+    fn slot(line: u64) -> (usize, u64) {
+        let h = line.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56;
+        ((h >> 6) as usize, 1 << (h & 63))
+    }
+
+    #[inline]
+    fn insert(&mut self, line: u64) {
+        let (word, bit) = Self::slot(line);
+        self.0[word] |= bit;
+    }
+
+    #[inline]
+    fn may_contain(&self, line: u64) -> bool {
+        let (word, bit) = Self::slot(line);
+        self.0[word] & bit != 0
+    }
+}
+
 /// A file of miss-status holding registers for one cache.
 ///
 /// Tracks lines with fetches in flight. A request for a line already in
@@ -25,29 +54,28 @@ pub struct MshrStats {
 /// registers are busy, the next request must wait until the earliest
 /// in-flight fetch completes.
 ///
-/// Every query expires completed entries at its own `now` before
-/// answering. This eagerness is observable, not just a cleanup policy:
-/// the hierarchy interrogates a file at non-monotone timestamps (a miss
-/// probes downstream levels at `now + latency`, then the next access
-/// starts earlier), so an entry dropped at a late timestamp must stay
-/// gone even for a later query with an earlier `now`.
+/// Every query first expires completed entries at its own `now`, under
+/// the rule the DRAM channel queues share (`Inflight`: eager at each
+/// query's timestamp, with the sweep skipped before the cached earliest
+/// completion). The live set and the stats after every query are
+/// therefore exactly what an eager sweep gives.
 ///
-/// The file caches `earliest`, the minimum completion cycle of its live
-/// entries. A query whose `now` is before it has nothing to expire and
-/// skips the sweep; otherwise the sweep drops completed entries with
-/// unordered `swap_remove` compaction and recomputes `earliest` in the
-/// same pass. The live set after every query is therefore exactly what an
-/// eager sweep leaves. Entry order is unspecified, which is safe because
-/// at most one live entry per line exists at any time (the hierarchy
-/// allocates only a line that [`pending`](Self::pending) just reported
+/// [`pending`](Self::pending), the hierarchy's most frequent query, almost
+/// always finds nothing. A 256-bit filter over the live lines answers
+/// those queries without scanning: [`allocate`](Self::allocate) sets the
+/// line's bit, and each expiry sweep, which already visits every
+/// survivor, rebuilds the filter from them. The filter thus always covers
+/// the live lines, so a clear bit proves the line absent; a set bit falls
+/// back to the scan. At most one live entry per line exists at any time
+/// (the hierarchy allocates only a line that `pending` just reported
 /// absent, and `allocate` checks this in debug builds).
 #[derive(Debug, Clone)]
 pub struct MshrFile {
     capacity: usize,
     /// `(line, completes_at)` for in-flight fetches.
-    inflight: Vec<(u64, u64)>,
-    /// Minimum `completes_at` over `inflight`; `u64::MAX` when empty.
-    earliest: u64,
+    inflight: Inflight<u64>,
+    /// Covers every line in `inflight` (and possibly a few more).
+    filter: LineFilter,
     stats: MshrStats,
 }
 
@@ -57,8 +85,8 @@ impl MshrFile {
         assert!(capacity > 0, "need at least one MSHR");
         MshrFile {
             capacity: capacity as usize,
-            inflight: Vec::with_capacity(capacity as usize),
-            earliest: u64::MAX,
+            inflight: Inflight::with_capacity(capacity as usize),
+            filter: LineFilter::default(),
             stats: MshrStats::default(),
         }
     }
@@ -73,31 +101,25 @@ impl MshrFile {
         self.stats
     }
 
-    /// Drops entries that have completed by `now`. Nothing can have
-    /// completed before `earliest`, so the sweep runs only from then on.
+    /// Drops entries that have completed by `now`; a sweep that ran
+    /// leaves the filter holding exactly the survivors' bits.
+    #[inline]
     fn expire(&mut self, now: u64) {
-        if now < self.earliest {
-            return;
+        let mut live = LineFilter::default();
+        if self.inflight.expire(now, |line| live.insert(line)) {
+            self.filter = live;
         }
-        let mut earliest = u64::MAX;
-        let mut i = 0;
-        while i < self.inflight.len() {
-            let t = self.inflight[i].1;
-            if t <= now {
-                self.inflight.swap_remove(i);
-            } else {
-                earliest = earliest.min(t);
-                i += 1;
-            }
-        }
-        self.earliest = earliest;
     }
 
     /// If `line` has a fetch in flight at `now`, returns its completion
     /// cycle (a secondary miss).
     pub fn pending(&mut self, line: u64, now: u64) -> Option<u64> {
         self.expire(now);
+        if !self.filter.may_contain(line) {
+            return None;
+        }
         self.inflight
+            .entries()
             .iter()
             .find(|&&(l, _)| l == line)
             .map(|&(_, t)| t)
@@ -115,9 +137,10 @@ impl MshrFile {
         if self.inflight.len() < self.capacity {
             now
         } else {
+            let earliest = self.inflight.earliest();
             self.stats.stall_events += 1;
-            self.stats.stall_cycles += self.earliest - now;
-            self.earliest
+            self.stats.stall_cycles += earliest - now;
+            earliest
         }
     }
 
@@ -131,11 +154,11 @@ impl MshrFile {
         self.expire(now);
         assert!(self.inflight.len() < self.capacity, "MSHR file full");
         debug_assert!(
-            self.inflight.iter().all(|&(l, _)| l != line),
+            self.inflight.entries().iter().all(|&(l, _)| l != line),
             "line {line:#x} already has a live MSHR entry"
         );
-        self.inflight.push((line, completes_at));
-        self.earliest = self.earliest.min(completes_at);
+        self.inflight.push(line, completes_at);
+        self.filter.insert(line);
         self.stats.peak_occupancy = self.stats.peak_occupancy.max(self.inflight.len() as u32);
     }
 
@@ -258,5 +281,28 @@ mod tests {
         assert_eq!(m.occupancy(150), 0, "expired at t=150");
         // The earlier-timestamped query must NOT resurrect the entry.
         assert_eq!(m.pending(7, 50), None, "entry is gone for good");
+    }
+
+    #[test]
+    fn filter_collisions_fall_back_to_the_scan() {
+        let a = 1;
+        let b = (2..)
+            .find(|&l| LineFilter::slot(l) == LineFilter::slot(a))
+            .expect("a line sharing a's filter bit");
+        let mut m = MshrFile::new(4);
+        m.allocate(a, 0, 100);
+        assert!(m.filter.may_contain(b), "b shares a's bit");
+        assert_eq!(m.pending(b, 10), None, "a set bit is only a maybe");
+        assert_eq!(m.pending(a, 10), Some(100));
+        m.allocate(b, 10, 200);
+        assert_eq!(m.pending(b, 10), Some(200));
+        // The sweep at t=100 drops a and rebuilds the filter from b alone,
+        // which keeps the shared bit set.
+        assert_eq!(m.pending(a, 100), None);
+        assert_eq!(m.pending(b, 100), Some(200));
+        // Once the file empties, the sweep clears the filter.
+        assert_eq!(m.occupancy(200), 0);
+        assert!(!m.filter.may_contain(a));
+        assert!(!m.filter.may_contain(b));
     }
 }

@@ -4,8 +4,9 @@ use std::collections::BTreeSet;
 
 use dol_isa::DetHashSet;
 use dol_mem::{
-    Cache, CacheConfig, CacheLevel, CollectSink, HierarchyConfig, LineSet, LookupOutcome,
-    MemorySystem, MshrFile, MshrStats, NullSink, Origin, ReplacementPolicy, ShadowTags,
+    Cache, CacheConfig, CacheLevel, CollectSink, Dram, DramConfig, DramRequest, DramStats,
+    DropPolicy, HierarchyConfig, LineSet, LookupOutcome, MemorySystem, MshrFile, MshrStats,
+    NullSink, Origin, ReplacementPolicy, ShadowTags, LINE_BYTES, LOW_CONFIDENCE,
 };
 use proptest::prelude::*;
 
@@ -78,6 +79,100 @@ impl EagerMshr {
     }
 }
 
+/// Lines for the MSHR tests: a few hot lines that merge and re-allocate
+/// often, or any of 4096, which share the file's 256 filter bits with the
+/// live lines, so a set bit must still be confirmed by the scan.
+fn mshr_line() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..8, 0u64..4096]
+}
+
+/// Reference DRAM model: the same routing, banks and timing as [`Dram`],
+/// but each channel queue runs `retain` on every request and a full
+/// queue finds its earliest slot with `min()`. [`Dram`] must answer
+/// exactly like it.
+struct EagerDram {
+    cfg: DramConfig,
+    /// `(ready_at, rows, lru)` per bank.
+    banks: Vec<(u64, [Option<u64>; 2], usize)>,
+    /// `(queue, next_issue)` per channel.
+    channels: Vec<(Vec<u64>, u64)>,
+    stats: DramStats,
+}
+
+impl EagerDram {
+    const BURST_CYCLES: u64 = 4;
+
+    fn new(cfg: DramConfig) -> Self {
+        EagerDram {
+            cfg,
+            banks: vec![(0, [None; 2], 0); (cfg.channels * cfg.banks_per_channel) as usize],
+            channels: vec![(Vec::new(), 0); cfg.channels as usize],
+            stats: DramStats::default(),
+        }
+    }
+
+    fn route(&self, line: u64) -> (usize, usize) {
+        let row_idx = line / (self.cfg.row_bytes / LINE_BYTES);
+        let hashed = row_idx ^ (row_idx >> 5) ^ (row_idx >> 11) ^ (row_idx >> 17);
+        let ch = (hashed & (self.cfg.channels as u64 - 1)) as usize;
+        let bank_local = ((hashed >> self.cfg.channels.trailing_zeros())
+            & (self.cfg.banks_per_channel as u64 - 1)) as usize;
+        (ch, ch * self.cfg.banks_per_channel as usize + bank_local)
+    }
+
+    fn request(&mut self, line: u64, kind: DramRequest, now: u64) -> Option<u64> {
+        let (ch_idx, bank_idx) = self.route(line);
+        let capacity = self.cfg.queue_capacity as usize;
+        let (queue, next_issue) = &mut self.channels[ch_idx];
+        queue.retain(|&t| t > now);
+        let occupancy = queue.len();
+        let mut start = now;
+        if let DramRequest::PrefetchRead { confidence } = kind {
+            let shed = occupancy >= capacity
+                || (self.cfg.drop_policy == DropPolicy::LowConfidenceFirst
+                    && confidence < LOW_CONFIDENCE
+                    && occupancy >= capacity * 3 / 4);
+            if shed {
+                self.stats.dropped_prefetches += 1;
+                return None;
+            }
+        } else if occupancy >= capacity {
+            self.stats.queue_full_waits += 1;
+            start = queue.iter().copied().min().unwrap();
+            queue.retain(|&t| t > start);
+        }
+        let row = line * LINE_BYTES / self.cfg.row_bytes;
+        let (ready_at, rows, lru) = &mut self.banks[bank_idx];
+        let begin = start.max(*ready_at).max(*next_issue);
+        let row_overhead = if let Some(slot) = rows.iter().position(|r| *r == Some(row)) {
+            self.stats.row_hits += 1;
+            *lru = 1 - slot;
+            0
+        } else {
+            self.stats.row_misses += 1;
+            let victim = *lru;
+            let overhead = if rows[victim].is_some() {
+                self.stats.bank_conflicts += 1;
+                self.cfg.t_precharge + self.cfg.t_activate
+            } else {
+                self.cfg.t_activate
+            };
+            rows[victim] = Some(row);
+            *lru = 1 - victim;
+            overhead
+        };
+        *ready_at = begin + row_overhead + Self::BURST_CYCLES;
+        *next_issue = begin + Self::BURST_CYCLES;
+        queue.push(begin + row_overhead + Self::BURST_CYCLES);
+        match kind {
+            DramRequest::DemandRead => self.stats.demand_reads += 1,
+            DramRequest::PrefetchRead { .. } => self.stats.prefetch_reads += 1,
+            DramRequest::Writeback => self.stats.writebacks += 1,
+        }
+        Some(begin + row_overhead + self.cfg.t_access)
+    }
+}
+
 /// First line of one run of `LineSet` inserts: a few pages near zero
 /// (runs cross the 63/64 page edge), the edge of a random page, the top
 /// of the address space, or anywhere.
@@ -143,8 +238,8 @@ proptest! {
     /// (prefetch path) or at the cycle `next_free` reports (demand path).
     #[test]
     fn mshr_file_matches_eager_reference(
-        capacity in 1u32..6,
-        ops in proptest::collection::vec((0u8..6, 0u64..8, 0u64..16, 0u64..120, 0u64..200), 1..400),
+        capacity in prop_oneof![1u32..6, 6u32..40],
+        ops in proptest::collection::vec((0u8..6, mshr_line(), 0u64..16, 0u64..120, 0u64..200), 1..400),
     ) {
         let mut fast = MshrFile::new(capacity);
         let mut eager = EagerMshr::new(capacity);
@@ -179,6 +274,53 @@ proptest! {
                 }
             }
             prop_assert_eq!(fast.stats(), eager.stats, "stats after step {}", step);
+        }
+    }
+
+    /// `Dram` answers every request like the eager reference queue and
+    /// ends each step with the same stats. A small queue fills often;
+    /// the stream mixes demands, writebacks and prefetches of any
+    /// confidence under both drop policies, at equal, increasing and
+    /// non-monotone timestamps, over few and many rows.
+    #[test]
+    fn dram_matches_eager_reference(
+        queue_capacity in 1u32..8,
+        low_confidence_first in any::<bool>(),
+        reqs in proptest::collection::vec(
+            (
+                0u8..4,
+                prop_oneof![0u64..512, 0u64..1 << 20],
+                prop_oneof![Just(0u64), 0u64..40],
+                prop_oneof![Just(0u64), 0u64..300],
+                any::<u8>(),
+            ),
+            1..400,
+        ),
+    ) {
+        let mut cfg = DramConfig::isca2018();
+        cfg.queue_capacity = queue_capacity;
+        cfg.drop_policy = if low_confidence_first {
+            DropPolicy::LowConfidenceFirst
+        } else {
+            DropPolicy::Random
+        };
+        let mut fast = Dram::new(cfg);
+        let mut eager = EagerDram::new(cfg);
+        let mut base = 0;
+        for (step, &(kind, line, advance, jitter, confidence)) in reqs.iter().enumerate() {
+            base += advance;
+            let now = base + jitter;
+            let kind = match kind {
+                0 => DramRequest::DemandRead,
+                1 => DramRequest::Writeback,
+                _ => DramRequest::PrefetchRead { confidence },
+            };
+            prop_assert_eq!(
+                fast.request(line, kind, now),
+                eager.request(line, kind, now),
+                "step {}", step
+            );
+            prop_assert_eq!(fast.stats(), &eager.stats, "stats after step {}", step);
         }
     }
 

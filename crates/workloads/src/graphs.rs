@@ -152,7 +152,7 @@ fn bfs_rmat(seed: u64) -> Vm {
         );
     });
     let mut vm = Vm::new(b.build().expect("valid kernel"));
-    *vm.memory_mut() = vm_proto.memory().clone();
+    *vm.memory_mut() = std::mem::take(vm_proto.memory_mut());
     vm
 }
 
@@ -198,7 +198,7 @@ fn pagerank_rmat(seed: u64) -> Vm {
         });
     });
     let mut vm = Vm::new(b.build().expect("valid kernel"));
-    *vm.memory_mut() = vm_proto.memory().clone();
+    *vm.memory_mut() = std::mem::take(vm_proto.memory_mut());
     vm
 }
 
@@ -245,7 +245,7 @@ fn cc_rmat(seed: u64) -> Vm {
         });
     });
     let mut vm = Vm::new(b.build().expect("valid kernel"));
-    *vm.memory_mut() = vm_proto.memory().clone();
+    *vm.memory_mut() = std::mem::take(vm_proto.memory_mut());
     vm
 }
 
@@ -290,7 +290,7 @@ fn sssp_road(seed: u64) -> Vm {
         });
     });
     let mut vm = Vm::new(b.build().expect("valid kernel"));
-    *vm.memory_mut() = vm_proto.memory().clone();
+    *vm.memory_mut() = std::mem::take(vm_proto.memory_mut());
     vm
 }
 
@@ -322,7 +322,7 @@ fn tc_rmat(seed: u64) -> Vm {
         );
     });
     let mut vm = Vm::new(b.build().expect("valid kernel"));
-    *vm.memory_mut() = vm_proto.memory().clone();
+    *vm.memory_mut() = std::mem::take(vm_proto.memory_mut());
     vm
 }
 
