@@ -263,46 +263,17 @@ impl System {
     }
 
     /// Runs one workload per core (sharing L3 and DRAM), one prefetcher
-    /// per core.
+    /// per core, streaming metric events from all cores into `sink` —
+    /// the multi-core counterpart of [`run_with_sink`](Self::run_with_sink).
     ///
-    /// Generic over the prefetcher type: pass `&mut [&mut dyn Prefetcher]`
-    /// for heterogeneous boxed designs, or a slice of a concrete type
-    /// (e.g. the harness's `Built` enum) to keep the per-retire edge
-    /// statically dispatched even in multi-core runs.
+    /// The array sizes tie core count to the type system. A concrete `P`
+    /// (one design, or the harness's `Built` enum) keeps static dispatch
+    /// on the hot per-retire edge; `[Box<dyn Prefetcher>; N]` runs
+    /// heterogeneous boxed designs.
     ///
     /// # Panics
     ///
-    /// Panics if `workloads` and `prefetchers` lengths differ or exceed
-    /// the configured core count.
-    pub fn run_multi<P: Prefetcher + ?Sized>(
-        &self,
-        workloads: &[Workload],
-        prefetchers: &mut [&mut P],
-    ) -> MultiRunResult {
-        self.run_multi_with_sink(workloads, prefetchers, &mut NullSink)
-    }
-
-    /// Like [`run_multi`](Self::run_multi), streaming metric events from
-    /// all cores into `sink`.
-    pub fn run_multi_with_sink<P: Prefetcher + ?Sized, S: EventSink + ?Sized>(
-        &self,
-        workloads: &[Workload],
-        prefetchers: &mut [&mut P],
-        sink: &mut S,
-    ) -> MultiRunResult {
-        let sources: Vec<(TraceCursor<'_>, &SparseMemory)> = workloads
-            .iter()
-            .map(|w| (TraceCursor::new(w.trace.as_slice()), &w.memory))
-            .collect();
-        let (result, _) = self.run_inner(sources, prefetchers, sink);
-        result
-    }
-
-    /// Monomorphized `N`-core co-run: one workload and one prefetcher of
-    /// a single concrete type per core. The array sizes tie core count to
-    /// the type system, and the concrete `P` keeps static dispatch on the
-    /// hot per-retire edge — the multi-core counterpart of
-    /// [`run_with_sink`](Self::run_with_sink).
+    /// Panics if `N` exceeds the configured core count.
     pub fn run_corun<const N: usize, P: Prefetcher, S: EventSink + ?Sized>(
         &self,
         workloads: &[Workload; N],
@@ -770,14 +741,10 @@ mod tests {
         let w1 = stream_workload(3000);
         let w2 = chase_workload(2000);
         let sys = System::new(SystemConfig::tiny(2));
-        let mut p1 = Tpc::full();
-        let mut p2 = Tpc::full();
-        let r = sys.run_multi(
+        let r = sys.run_corun(
             &[w1.clone(), w2.clone()],
-            &mut [
-                &mut p1 as &mut dyn Prefetcher,
-                &mut p2 as &mut dyn Prefetcher,
-            ],
+            &mut [Tpc::full(), Tpc::full()],
+            &mut NullSink,
         );
         assert_eq!(r.cores.len(), 2);
         assert_eq!(r.cores[0].1 as usize, w1.trace.len());
@@ -789,19 +756,12 @@ mod tests {
     }
 
     #[test]
-    fn run_corun_matches_run_multi_and_counts_all_cores() {
+    fn run_corun_static_matches_boxed_and_counts_all_cores() {
         let w1 = stream_workload(3000);
         let w2 = chase_workload(2000);
         let sys = System::new(SystemConfig::tiny(2));
-        let mut d1 = Tpc::full();
-        let mut d2 = Tpc::full();
-        let dyn_r = sys.run_multi(
-            &[w1.clone(), w2.clone()],
-            &mut [
-                &mut d1 as &mut dyn Prefetcher,
-                &mut d2 as &mut dyn Prefetcher,
-            ],
-        );
+        let mut boxed: [Box<dyn Prefetcher>; 2] = [Box::new(Tpc::full()), Box::new(Tpc::full())];
+        let dyn_r = sys.run_corun(&[w1.clone(), w2.clone()], &mut boxed, &mut NullSink);
         let mut ps = [Tpc::full(), Tpc::full()];
         let r = sys.run_corun(&[w1.clone(), w2.clone()], &mut ps, &mut NullSink);
         // Static dispatch must reproduce the dyn path exactly.
@@ -820,11 +780,8 @@ mod tests {
         let w = stream_workload(6000);
         let solo = System::new(SystemConfig::isca2018(1)).run(&w, &mut NoPrefetcher);
         let sys = System::new(SystemConfig::isca2018(4));
-        let ws = vec![w.clone(), w.clone(), w.clone(), w.clone()];
-        let mut ps: Vec<NoPrefetcher> = vec![NoPrefetcher; 4];
-        let mut refs: Vec<&mut dyn Prefetcher> =
-            ps.iter_mut().map(|p| p as &mut dyn Prefetcher).collect();
-        let r = sys.run_multi(&ws, &mut refs);
+        let ws = [w.clone(), w.clone(), w.clone(), w.clone()];
+        let r = sys.run_corun(&ws, &mut [NoPrefetcher; 4], &mut NullSink);
         // Shared DRAM bandwidth: at least one core should be no faster
         // than running alone.
         let worst = r.cores.iter().map(|&(c, _)| c).max().unwrap();

@@ -3,10 +3,10 @@
 
 use std::sync::Arc;
 
-use dol_core::{NoPrefetcher, Prefetcher, Tpc};
+use dol_core::{NoPrefetcher, Tpc};
 use dol_cpu::{DestinationPolicy, System, SystemConfig, Workload};
 use dol_isa::{AluOp, Cond, Operand, ProgramBuilder, Reg, Vm};
-use dol_mem::{line_of, CacheLevel, LineSet, MemEvent};
+use dol_mem::{line_of, CacheLevel, LineSet, MemEvent, NullSink};
 
 fn stream_vm(n: i64) -> Vm {
     let mut b = ProgramBuilder::new();
@@ -132,11 +132,10 @@ fn per_core_address_spaces_do_not_alias() {
     // each core's L1 misses stay at the cold-miss count of its own copy.
     let w = Workload::capture(stream_vm(2000), 50_000).unwrap();
     let sys = System::new(SystemConfig::isca2018(2));
-    let mut a = NoPrefetcher;
-    let mut b = NoPrefetcher;
-    let r = sys.run_multi(
+    let r = sys.run_corun(
         &[w.clone(), w.clone()],
-        &mut [&mut a as &mut dyn Prefetcher, &mut b as &mut dyn Prefetcher],
+        &mut [NoPrefetcher; 2],
+        &mut NullSink,
     );
     let m0 = r.stats.cores[0].l1_misses;
     let m1 = r.stats.cores[1].l1_misses;

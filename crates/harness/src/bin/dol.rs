@@ -1,6 +1,10 @@
-//! `dol` — run any workload under any prefetcher configuration.
+//! `dol` — the one command line of the reproduction: regenerate the
+//! paper's tables and figures, or run any workload under any prefetcher
+//! configuration.
 //!
 //! ```text
+//! dol all [--smoke] [--jobs N] [--trace-dir DIR] [--insts N] [--mixes N]
+//! dol fig <id>... [--smoke] [--jobs N] [--trace-dir DIR] [--insts N] [--mixes N]
 //! dol list                                     # workloads and configs
 //! dol run --workload stream_sum --prefetcher TPC [--insts N] [--seed S]
 //! dol compare --workload aop_deref             # all configs on one workload
@@ -9,29 +13,46 @@
 //! dol trace verify <file.dolt>...              # full decode, checksums checked
 //! dol trace run --trace <file.dolt> --prefetcher TPC   # streaming replay
 //! ```
+//!
+//! `dol all` renders every report of [`experiments::drivers`], then the
+//! total count of paper-shape checks that deviate; `dol fig` renders the
+//! named ones in the order given. Both run the full plan (1 M
+//! instructions per workload, 8 mixes) unless told otherwise: `--smoke`
+//! switches to [`RunPlan::smoke`] (tiny budget, first few workloads per
+//! suite, one mix), `--insts` and `--mixes` set the budget, `--jobs N`
+//! shards workloads across N worker threads (`0` = one per core) with
+//! byte-identical output for any N, and `--trace-dir DIR` replays
+//! captures from `dol-trace` files recorded with `dol trace record`,
+//! again without changing a byte of stdout.
+//!
+//! Each subcommand reads only the flags listed for it; any other
+//! argument is refused with exit status 2.
 
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::BufReader;
-use std::num::NonZeroU64;
+use std::ops::RangeBounds;
 use std::path::Path;
 
-use dol_core::NoPrefetcher;
-use dol_cpu::{System, SystemConfig, Workload};
-use dol_harness::runner::single_core;
-use dol_harness::{prefetchers, traces, AppRun, BaselineRun, RunPlan};
-use dol_mem::{CacheLevel, NullSink};
-use dol_metrics::{scope, StreamingMetrics, TextTable};
+use dol_harness::experiments::{self, Driver};
+use dol_harness::runner::{run_configs, single_core};
+use dol_harness::{plan, prefetchers, traces, AppRun, BaselineRun, RunPlan};
+use dol_mem::CacheLevel;
+use dol_metrics::{scope, TextTable};
 use dol_trace::{ReplaySource, TraceReader};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  dol list\n  dol run --workload <name> --prefetcher <config> \
-         [--insts N] [--seed S]\n  dol compare --workload <name> [--insts N] [--seed S]\n  \
+        "usage:\n  dol all [--smoke] [--jobs N] [--trace-dir DIR] [--insts N] [--mixes N]\n  \
+         dol fig <id>... [--smoke] [--jobs N] [--trace-dir DIR] [--insts N] [--mixes N]\n  \
+         dol list\n  dol run --workload <name> --prefetcher <config> [--insts N] [--seed S]\n  \
+         dol compare --workload <name> [--insts N] [--seed S]\n  \
          dol trace record (--workload <name> | --all) --dir <dir> [--insts N] [--seed S] \
          [--smoke]\n  dol trace info <file.dolt>\n  dol trace verify <file.dolt>...\n  \
          dol trace run --trace <file.dolt> --prefetcher <config>\n\
-         \nconfigs: none, TPC, T2, P1, C1, T2+P1, TPC-plainPC, {} and TPC+<mono> / TPC|<mono>",
+         \nids: {}\n\
+         configs: none, TPC, T2, P1, C1, T2+P1, TPC-plainPC, {} and TPC+<mono> / TPC|<mono>",
+        figure_ids(),
         dol_baselines::registry::MONOLITHIC_NAMES.join(", ")
     );
     std::process::exit(2);
@@ -44,94 +65,202 @@ fn refuse(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Every subcommand: its name, the flags it reads (space-separated),
+/// whether it takes operands (arguments that are not flags), and its
+/// body.
+type Command = (&'static str, &'static str, bool, fn(&Args));
+
+/// The flags of `dol fig` and `dol all`: the run plan's.
+const PLAN_FLAGS: &str = "--smoke --jobs --trace-dir --insts --mixes";
+
+const COMMANDS: [Command; 9] = [
+    ("all", PLAN_FLAGS, false, cmd_all),
+    ("fig", PLAN_FLAGS, true, cmd_fig),
+    ("list", "", false, cmd_list),
+    (
+        "run",
+        "--workload --prefetcher --insts --seed",
+        false,
+        cmd_run,
+    ),
+    ("compare", "--workload --insts --seed", false, cmd_compare),
+    (
+        "trace record",
+        "--workload --all --dir --insts --seed --smoke",
+        false,
+        cmd_trace_record,
+    ),
+    ("trace info", "", true, cmd_trace_info),
+    ("trace verify", "", true, cmd_trace_verify),
+    ("trace run", "--trace --prefetcher", false, cmd_trace_run),
+];
+
+/// Short spellings of flags.
+const SHORT: [(&str, &str); 7] = [
+    ("-w", "--workload"),
+    ("-p", "--prefetcher"),
+    ("-n", "--insts"),
+    ("-s", "--seed"),
+    ("-d", "--dir"),
+    ("-t", "--trace"),
+    ("-j", "--jobs"),
+];
+
+/// The flags that take no value.
+const SWITCHES: [&str; 2] = ["--all", "--smoke"];
+
+/// One subcommand's command line.
 struct Args {
-    workload: Option<String>,
-    prefetcher: Option<String>,
-    /// `--insts`, when given.
-    insts: Option<NonZeroU64>,
-    seed: u64,
-    dir: Option<String>,
-    trace: Option<String>,
-    all: bool,
-    smoke: bool,
+    /// The flags given, by long name, with their values (empty for a
+    /// switch). A repeated flag's last value counts.
+    flags: Vec<(&'static str, String)>,
+    /// The arguments that are not flags, in order.
+    operands: Vec<String>,
 }
 
 impl Args {
-    /// The instruction budget: `--insts`, else the full plan's 1 M.
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.flags
+            .iter()
+            .rev()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| v.as_str())
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.value(flag).is_some()
+    }
+
+    /// The numeric flag `flag` in `accepted`, or `default` when it is
+    /// not given. A bad value exits as [`plan::FlagError::exit`] does.
+    fn number(
+        &self,
+        flag: &'static str,
+        accepted: impl RangeBounds<u64> + std::fmt::Debug,
+        default: u64,
+    ) -> u64 {
+        match self.value(flag) {
+            Some(v) => plan::parse_flag(flag, v, accepted).unwrap_or_else(|e| e.exit()),
+            None => default,
+        }
+    }
+
+    /// The single-run budget: `--insts`, else the full plan's 1 M.
     fn insts(&self) -> u64 {
-        self.insts.map_or(RunPlan::full().insts, NonZeroU64::get)
+        self.number("--insts", 1.., RunPlan::full().insts)
+    }
+
+    fn seed(&self) -> u64 {
+        self.number("--seed", .., RunPlan::full().seed)
+    }
+
+    /// Refuses each of `flags` given beside `--smoke`, whose budget is
+    /// fixed.
+    fn refuse_with_smoke(&self, flags: &[&str]) {
+        if let Some(flag) = flags.iter().find(|f| self.has("--smoke") && self.has(f)) {
+            refuse(&format!(
+                "{flag} cannot be combined with --smoke, which fixes the budget"
+            ));
+        }
     }
 }
 
-fn parse(args: &[String]) -> Args {
+/// Parses the arguments of subcommand `name`, which reads the flags in
+/// `accepts` and, when `operands` is set, arguments that are not flags.
+/// Anything else is refused on one stderr line.
+fn parse(name: &str, argv: &[String], accepts: &'static str, operands: bool) -> Args {
     let mut out = Args {
-        workload: None,
-        prefetcher: None,
-        insts: None,
-        seed: 2018,
-        dir: None,
-        trace: None,
-        all: false,
-        smoke: false,
+        flags: Vec::new(),
+        operands: Vec::new(),
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--workload" | "-w" => {
-                out.workload = args.get(i + 1).cloned();
-                i += 2;
+    let mut it = argv.iter();
+    while let Some(arg) = it.next() {
+        let long = SHORT
+            .iter()
+            .find(|(short, _)| short == arg)
+            .map_or(arg.as_str(), |(_, long)| long);
+        if !long.starts_with('-') {
+            if !operands {
+                refuse(&format!("dol {name} does not take the argument {arg:?}"));
             }
-            "--prefetcher" | "-p" => {
-                out.prefetcher = args.get(i + 1).cloned();
-                i += 2;
-            }
-            "--insts" | "-n" => {
-                let n: u64 = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                out.insts = Some(NonZeroU64::new(n).unwrap_or_else(|| {
-                    refuse("invalid --insts 0: expected at least 1 instruction")
-                }));
-                i += 2;
-            }
-            "--seed" | "-s" => {
-                out.seed = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--dir" | "-d" => {
-                out.dir = args.get(i + 1).cloned();
-                i += 2;
-            }
-            "--trace" | "-t" => {
-                out.trace = args.get(i + 1).cloned();
-                i += 2;
-            }
-            "--all" => {
-                out.all = true;
-                i += 1;
-            }
-            "--smoke" => {
-                out.smoke = true;
-                i += 1;
-            }
-            _ => usage(),
+            out.operands.push(arg.clone());
+            continue;
         }
+        let Some(flag) = accepts.split_whitespace().find(|f| *f == long) else {
+            refuse(&format!("dol {name} does not take {arg}"))
+        };
+        let value = if SWITCHES.contains(&flag) {
+            String::new()
+        } else {
+            it.next()
+                .cloned()
+                .unwrap_or_else(|| refuse(&format!("{flag} needs a value")))
+        };
+        out.flags.push((flag, value));
     }
     out
 }
 
-fn capture(name: &str, insts: u64, seed: u64) -> Workload {
-    let Some(spec) = dol_workloads::by_name(name) else {
-        refuse(&format!("unknown workload `{name}`; try `dol list`"))
-    };
-    Workload::capture(spec.build_vm(seed), insts).expect("workload runs")
+/// The ids `dol fig` takes, comma-separated.
+fn figure_ids() -> String {
+    let ids: Vec<&str> = experiments::drivers().iter().map(|(id, _)| *id).collect();
+    ids.join(", ")
 }
 
-fn cmd_list() {
+/// The plan of `dol fig` and `dol all`: the smoke or the full plan, with
+/// the plan flags applied.
+fn run_plan(a: &Args) -> RunPlan {
+    a.refuse_with_smoke(&["--insts", "--mixes"]);
+    let plan = if a.has("--smoke") {
+        RunPlan::smoke()
+    } else {
+        RunPlan::full()
+    };
+    plan.with_flags(|flag| a.value(flag))
+        .unwrap_or_else(|e| e.exit())
+}
+
+/// `dol all`: every driver's report, then the deviation total.
+fn cmd_all(a: &Args) {
+    let plan = run_plan(a);
+    eprintln!(
+        "running all experiments: {} insts/workload, {} mixes, {} jobs{} \
+         (override with --insts / --mixes / --jobs)",
+        plan.insts,
+        plan.mix_count,
+        dol_harness::sweep::effective_jobs(plan.jobs),
+        if a.has("--smoke") { ", smoke mode" } else { "" },
+    );
+    let mut deviations = 0;
+    for (_, run) in experiments::drivers() {
+        let report = run(&plan);
+        println!("{}", report.render());
+        deviations += report.deviations();
+    }
+    println!("total shape-check deviations: {deviations}");
+}
+
+/// `dol fig <id>...`: the named drivers' reports, in the order given.
+fn cmd_fig(a: &Args) {
+    if a.operands.is_empty() {
+        refuse(&format!("dol fig needs at least one id: {}", figure_ids()));
+    }
+    let drivers = experiments::drivers();
+    let picked: Vec<Driver> = a
+        .operands
+        .iter()
+        .map(|id| match drivers.iter().find(|(known, _)| known == id) {
+            Some(&(_, run)) => run,
+            None => refuse(&format!("unknown id `{id}`; ids: {}", figure_ids())),
+        })
+        .collect();
+    let plan = run_plan(a);
+    for run in picked {
+        println!("{}", run(&plan).render());
+    }
+}
+
+fn cmd_list(_: &Args) {
     println!("workloads:");
     for spec in dol_workloads::all_workloads() {
         println!("  {:20} [{}]", spec.name, spec.suite);
@@ -141,11 +270,11 @@ fn cmd_list() {
     println!("  TPC+<monolithic> (composite), TPC|<monolithic> (shunt)");
 }
 
-fn cmd_run(a: Args) {
-    let (Some(workload), Some(config)) = (a.workload.as_deref(), a.prefetcher.as_deref()) else {
+fn cmd_run(a: &Args) {
+    let (Some(workload), Some(config)) = (a.value("--workload"), a.value("--prefetcher")) else {
         usage()
     };
-    match render_run(workload, config, a.insts(), a.seed) {
+    match render_run(workload, config, a.insts(), a.seed()) {
         Ok(text) => print!("{text}"),
         Err(msg) => refuse(&msg),
     }
@@ -196,9 +325,8 @@ fn render_run(workload: &str, config: &str, insts: u64, seed: u64) -> Result<Str
         out,
         "speedup {:.3}x | traffic {:.3}x | scope {:.2} | eff. accuracy {:.2} \
          ({} issued / {} useful / {} unused)",
-        b.cycles as f64 / r.cycles as f64,
-        r.stats.dram.total_traffic_lines() as f64
-            / b.stats.dram.total_traffic_lines().max(1) as f64,
+        run.speedup(&base),
+        run.traffic_ratio(&base),
         scope(&base.fp_l1, &run.metrics.prefetched_lines_all()),
         acc.effective_accuracy(),
         acc.issued,
@@ -208,51 +336,48 @@ fn render_run(workload: &str, config: &str, insts: u64, seed: u64) -> Result<Str
     Ok(out)
 }
 
-fn cmd_compare(a: Args) {
-    let Some(workload) = a.workload.as_deref() else {
+fn cmd_compare(a: &Args) {
+    let Some(workload) = a.value("--workload") else {
         usage()
     };
-    let w = capture(workload, a.insts(), a.seed);
-    let sys = System::new(SystemConfig::isca2018(1));
-    let base = sys.run_with_sink(&w, &mut NoPrefetcher, &mut NullSink);
+    let Some(spec) = dol_workloads::by_name(workload) else {
+        refuse(&format!("unknown workload `{workload}`; try `dol list`"))
+    };
+    let plan = RunPlan {
+        insts: a.insts(),
+        seed: a.seed(),
+        ..RunPlan::smoke()
+    };
+    let base = BaselineRun::capture(&spec, &plan);
     let mut t = TextTable::new(vec![
         "prefetcher".into(),
         "speedup".into(),
         "traffic".into(),
         "accuracy".into(),
     ]);
-    for cfg in prefetchers::COMPARISON_SET {
-        let mut p = prefetchers::build(cfg).expect("known config");
-        let mut sm = StreamingMetrics::new();
-        let r = sys.run_with_sink(&w, &mut p, &mut sm);
-        let acc = sm.accuracy_at(CacheLevel::L1, None);
+    for run in run_configs(&base, &prefetchers::COMPARISON_SET, &single_core()) {
+        let acc = run.metrics.accuracy_at(CacheLevel::L1, None);
         t.row(vec![
-            cfg.to_string(),
-            format!("{:.3}", base.cycles as f64 / r.cycles as f64),
-            format!(
-                "{:.3}",
-                r.stats.dram.total_traffic_lines() as f64
-                    / base.stats.dram.total_traffic_lines().max(1) as f64
-            ),
+            run.config.clone(),
+            format!("{:.3}", run.speedup(&base)),
+            format!("{:.3}", run.traffic_ratio(&base)),
             format!("{:.2}", acc.effective_accuracy()),
         ]);
     }
     println!(
         "{workload} ({} insts, seed {}):\n{}",
-        a.insts(),
-        a.seed,
+        plan.insts,
+        plan.seed,
         t.render()
     );
 }
 
 /// `dol trace record`: capture workloads to `dol-trace` files.
-fn cmd_trace_record(a: Args) {
-    let Some(dir) = a.dir.as_deref() else { usage() };
+fn cmd_trace_record(a: &Args) {
+    let Some(dir) = a.value("--dir") else { usage() };
     let dir = Path::new(dir);
-    let mut plan = if a.smoke {
-        if a.insts.is_some() {
-            refuse("--insts cannot be combined with --smoke, which records a fixed budget");
-        }
+    a.refuse_with_smoke(&["--insts"]);
+    let mut plan = if a.has("--smoke") {
         RunPlan::smoke()
     } else {
         RunPlan {
@@ -260,9 +385,9 @@ fn cmd_trace_record(a: Args) {
             ..RunPlan::full()
         }
     };
-    plan.seed = a.seed;
+    plan.seed = a.seed();
     plan.jobs = 0;
-    match (a.workload.as_deref(), a.all) {
+    match (a.value("--workload"), a.has("--all")) {
         (Some(name), false) => {
             let Some(spec) = dol_workloads::by_name(name) else {
                 refuse(&format!("unknown workload `{name}`; try `dol list`"))
@@ -297,7 +422,10 @@ fn cmd_trace_record(a: Args) {
 }
 
 /// `dol trace info`: print a file's header without decoding the body.
-fn cmd_trace_info(path: &str) {
+fn cmd_trace_info(a: &Args) {
+    let [path] = a.operands.as_slice() else {
+        usage()
+    };
     let file = match File::open(path) {
         Ok(f) => BufReader::new(f),
         Err(e) => {
@@ -329,11 +457,11 @@ fn cmd_trace_info(path: &str) {
 /// `dol trace verify`: full decode of each file, validating framing,
 /// checksums and instruction counts. Exits non-zero on the first bad
 /// file.
-fn cmd_trace_verify(paths: &[String]) {
-    if paths.is_empty() {
+fn cmd_trace_verify(a: &Args) {
+    if a.operands.is_empty() {
         usage();
     }
-    for path in paths {
+    for path in &a.operands {
         let file = match File::open(path) {
             Ok(f) => BufReader::new(f),
             Err(e) => {
@@ -355,8 +483,8 @@ fn cmd_trace_verify(paths: &[String]) {
 
 /// `dol trace run`: stream a trace file through the timing model without
 /// ever materializing the instruction stream.
-fn cmd_trace_run(a: Args) {
-    let (Some(path), Some(config)) = (a.trace.as_deref(), a.prefetcher.as_deref()) else {
+fn cmd_trace_run(a: &Args) {
+    let (Some(path), Some(config)) = (a.value("--trace"), a.value("--prefetcher")) else {
         usage()
     };
     match render_replay(path, config) {
@@ -378,7 +506,7 @@ fn render_replay(path: &str, config: &str) -> Result<String, String> {
     let mut reader = TraceReader::new(BufReader::new(file)).map_err(|e| format!("{path}: {e}"))?;
     let memory = reader.read_memory().map_err(|e| format!("{path}: {e}"))?;
     let header = reader.header().clone();
-    let sys: System = single_core();
+    let sys = single_core();
     let (r, source) = sys.run_source(ReplaySource::new(reader), &memory, &mut p);
     if let Some(e) = source.error() {
         return Err(format!("{path}: replay stopped early: {e}"));
@@ -401,28 +529,21 @@ fn render_replay(path: &str, config: &str) -> Result<String, String> {
     Ok(out)
 }
 
-fn cmd_trace(argv: &[String]) {
-    match argv.first().map(String::as_str) {
-        Some("record") => cmd_trace_record(parse(&argv[1..])),
-        Some("info") => match argv.get(1) {
-            Some(path) => cmd_trace_info(path),
-            None => usage(),
-        },
-        Some("verify") => cmd_trace_verify(&argv[1..]),
-        Some("run") => cmd_trace_run(parse(&argv[1..])),
-        _ => usage(),
-    }
-}
-
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.first().map(String::as_str) {
-        Some("list") => cmd_list(),
-        Some("run") => cmd_run(parse(&argv[1..])),
-        Some("compare") => cmd_compare(parse(&argv[1..])),
-        Some("trace") => cmd_trace(&argv[1..]),
-        _ => usage(),
-    }
+    // `trace` subcommands are named by two words.
+    let words = if argv.first().is_some_and(|w| w == "trace") {
+        2
+    } else {
+        1
+    };
+    let Some(name) = argv.get(..words).map(|w| w.join(" ")) else {
+        usage()
+    };
+    let Some(&(name, accepts, operands, run)) = COMMANDS.iter().find(|c| c.0 == name) else {
+        usage()
+    };
+    run(&parse(name, &argv[words..], accepts, operands));
 }
 
 #[cfg(test)]

@@ -4,8 +4,8 @@
 
 use dol_baselines::registry::monolithic_by_name;
 use dol_core::{Composite, Prefetcher, Shunt, Tpc, TpcBuilder, TpcConfig};
-use dol_cpu::{System, SystemConfig, Workload};
-use dol_mem::DropPolicy;
+use dol_cpu::{System, SystemConfig};
+use dol_mem::{DropPolicy, NullSink};
 use dol_metrics::{geomean, weighted_speedup, TextTable};
 use dol_workloads::mixes;
 
@@ -20,12 +20,8 @@ use crate::RunPlan;
 pub fn drop_policy(plan: &RunPlan) -> Report {
     let mixes = mixes(plan.mix_count, plan.seed);
     let ratios: Vec<f64> = crate::sweep::map(plan.jobs, &mixes, |mix| {
-        let bases: Vec<_> = mix
-            .members
-            .iter()
-            .map(|m| BaselineRun::capture(m, plan))
-            .collect();
-        let members: Vec<Workload> = bases.iter().map(|b| b.workload.clone()).collect();
+        let bases: [_; 4] = std::array::from_fn(|i| BaselineRun::capture(&mix.members[i], plan));
+        let members = std::array::from_fn(|i| bases[i].workload.clone());
         let alone: Vec<f64> = bases.iter().map(|b| b.result.ipc()).collect();
         let ws_with = |policy: DropPolicy| -> f64 {
             let mut cfg = SystemConfig::isca2018(4);
@@ -33,10 +29,8 @@ pub fn drop_policy(plan: &RunPlan) -> Report {
             // Stress the queues so the policy matters.
             cfg.hierarchy.dram.queue_capacity = 12;
             let sys = System::new(cfg);
-            let mut ps: Vec<Tpc> = (0..4).map(|_| Tpc::full()).collect();
-            let mut refs: Vec<&mut dyn Prefetcher> =
-                ps.iter_mut().map(|p| p as &mut dyn Prefetcher).collect();
-            let r = sys.run_multi(&members, &mut refs);
+            let mut ps: [Tpc; 4] = std::array::from_fn(|_| Tpc::full());
+            let r = sys.run_corun(&members, &mut ps, &mut NullSink);
             weighted_speedup(&r.ipcs(), &alone)
         };
         let random = ws_with(DropPolicy::Random);
@@ -76,7 +70,7 @@ fn geomean_speedup_with(
         let spec = dol_workloads::by_name(name).expect("known workload");
         let base = BaselineRun::capture(&spec, plan);
         let mut p = build();
-        let r = crate::runner::run_with(&base, p.as_mut(), &sys);
+        let r = sys.run(&base.workload, p.as_mut());
         base.cycles() as f64 / r.cycles as f64
     });
     geomean(&v)
@@ -227,7 +221,7 @@ pub fn multi_extra(plan: &RunPlan) -> Report {
         let base = BaselineRun::capture(spec, plan);
         let tpc = {
             let mut p = Tpc::full();
-            crate::runner::run_with(&base, &mut p, &sys).cycles
+            sys.run(&base.workload, &mut p).cycles
         };
         let comp = {
             let extras = EXTRA_SET
@@ -240,7 +234,7 @@ pub fn multi_extra(plan: &RunPlan) -> Report {
                 })
                 .collect();
             let mut c = Composite::new(Tpc::full(), extras);
-            crate::runner::run_with(&base, &mut c, &sys).cycles
+            sys.run(&base.workload, &mut c).cycles
         };
         let sh = {
             let mut members: Vec<Box<dyn Prefetcher>> = vec![Box::new(Tpc::full())];
@@ -250,7 +244,7 @@ pub fn multi_extra(plan: &RunPlan) -> Report {
                 );
             }
             let mut s = Shunt::new(members);
-            crate::runner::run_with(&base, &mut s, &sys).cycles
+            sys.run(&base.workload, &mut s).cycles
         };
         let b = base.cycles() as f64;
         (b / tpc as f64, b / comp as f64, b / sh as f64)

@@ -3,8 +3,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dol_core::Prefetcher;
-use dol_cpu::{System, SystemConfig, Workload};
+use dol_cpu::{System, SystemConfig};
+use dol_mem::NullSink;
 use dol_metrics::{geomean, weighted_speedup, TextTable};
 use dol_workloads::{mixes, Spec};
 
@@ -54,23 +54,16 @@ fn mix_speedups(plan: &RunPlan) -> Vec<f64> {
     .collect();
 
     let per_mix: Vec<Vec<f64>> = crate::sweep::map(plan.jobs, &mixes, |mix| {
-        let members: Vec<Workload> = mix
-            .members
-            .iter()
-            .map(|m| captured[m.name].workload.clone())
-            .collect();
+        let members = std::array::from_fn(|i| captured[mix.members[i].name].workload.clone());
         let alone: Vec<f64> = mix
             .members
             .iter()
             .map(|m| captured[m.name].result.ipc())
             .collect();
         let ws_of = |cfg: &str| -> f64 {
-            let mut ps: Vec<prefetchers::Built> = (0..4)
-                .map(|_| prefetchers::build(cfg).expect("known config"))
-                .collect();
-            let mut refs: Vec<&mut dyn Prefetcher> =
-                ps.iter_mut().map(|p| p as &mut dyn Prefetcher).collect();
-            let r = sys4.run_multi(&members, &mut refs);
+            let mut ps: [prefetchers::Built; 4] =
+                std::array::from_fn(|_| prefetchers::build(cfg).expect("known config"));
+            let r = sys4.run_corun(&members, &mut ps, &mut NullSink);
             weighted_speedup(&r.ipcs(), &alone)
         };
         let ws_none = ws_of("none");

@@ -58,7 +58,7 @@ impl Report {
 pub type Driver = fn(&crate::RunPlan) -> Report;
 
 /// Every figure/table driver with its stable identifier, in paper order.
-/// `run_all` iterates this list, and the repository benchmark times each
+/// `dol all` iterates this list, and the repository benchmark times each
 /// driver in it individually.
 pub fn drivers() -> Vec<(&'static str, Driver)> {
     vec![

@@ -5,9 +5,10 @@
 //! (ISCA 2018).
 //!
 //! Each experiment lives in [`experiments`] as a `run(&RunPlan)` function
-//! returning a typed report with a rendered text table; the binaries in
-//! `src/bin/` are thin wrappers. `run_all` regenerates everything and is
-//! what `EXPERIMENTS.md` is produced from.
+//! returning a typed report with a rendered text table, listed by id in
+//! [`experiments::drivers`]. The `dol` binary renders them: `dol fig
+//! <id>...` the named ones, `dol all` every one, which is what
+//! `EXPERIMENTS.md` is produced from.
 //!
 //! Reproduction targets the paper's *shape* — who wins, by roughly what
 //! factor, where the crossovers fall — not gem5's absolute numbers; see
@@ -18,8 +19,8 @@
 //! # Budgets
 //!
 //! The default plan simulates 1 M instructions per workload (the paper
-//! uses 5 × 10 M-instruction SimPoints). Override with the `DOL_INSTS`
-//! environment variable; tests use [`RunPlan::quick`].
+//! uses 5 × 10 M-instruction SimPoints). Override with `dol`'s
+//! `--insts` flag ([`RunPlan::with_flags`]); tests use [`RunPlan::quick`].
 
 pub mod analysis;
 pub mod bands;
@@ -32,5 +33,5 @@ pub mod sweep;
 pub mod traces;
 
 pub use bands::Expectation;
-pub use plan::{EnvError, RunPlan};
+pub use plan::{FlagError, RunPlan};
 pub use runner::{AppRun, BaselineRun};

@@ -5,22 +5,22 @@ use std::ops::RangeBounds;
 use std::path::PathBuf;
 use std::str::FromStr;
 
-/// A `DOL_*` environment override whose value is not a number, or is a
-/// number outside the range the variable accepts.
+/// A numeric command-line flag whose value is not a number, or is a
+/// number outside the range the flag accepts.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EnvError {
-    /// The variable's name.
-    pub var: &'static str,
-    /// Its value as set.
+pub struct FlagError {
+    /// The flag's name, for example `--insts`.
+    pub flag: &'static str,
+    /// Its value as given.
     pub value: String,
     /// The accepted range (for example `1..=64`) when the value is a
     /// number outside it; `None` when it is not a number at all.
     pub range: Option<String>,
 }
 
-impl std::fmt::Display for EnvError {
+impl std::fmt::Display for FlagError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid {}={:?}: expected ", self.var, self.value)?;
+        write!(f, "invalid {} {:?}: expected ", self.flag, self.value)?;
         match &self.range {
             Some(range) => write!(f, "an integer in {range}"),
             None => write!(f, "a non-negative integer"),
@@ -28,9 +28,9 @@ impl std::fmt::Display for EnvError {
     }
 }
 
-impl std::error::Error for EnvError {}
+impl std::error::Error for FlagError {}
 
-impl EnvError {
+impl FlagError {
     /// Reports the error on stderr and exits with status 2, the status
     /// of a usage error.
     pub fn exit(&self) -> ! {
@@ -39,30 +39,24 @@ impl EnvError {
     }
 }
 
-/// Reads `var` from the process environment. A value that is not
-/// Unicode is passed on lossily, so it fails to parse rather than
-/// reading as unset.
-fn process_env(var: &str) -> Option<String> {
-    std::env::var_os(var).map(|v| v.to_string_lossy().into_owned())
-}
-
-/// Parses the numeric override `var` as `lookup` reads it: `Ok(None)`
-/// when it is unset or empty, an [`EnvError`] when it does not parse or
-/// falls outside `accepted`.
-fn parse_override<T: FromStr + PartialOrd>(
-    lookup: &impl Fn(&str) -> Option<String>,
-    var: &'static str,
+/// Parses `value`, given for `flag`, as a number in `accepted`. A value
+/// that does not parse or falls outside the range is a [`FlagError`],
+/// never clamped.
+pub fn parse_flag<T: FromStr + PartialOrd>(
+    flag: &'static str,
+    value: &str,
     accepted: impl RangeBounds<T> + Debug,
-) -> Result<Option<T>, EnvError> {
-    let Some(value) = lookup(var).filter(|v| !v.is_empty()) else {
-        return Ok(None);
-    };
+) -> Result<T, FlagError> {
     let range = match value.parse() {
-        Ok(n) if accepted.contains(&n) => return Ok(Some(n)),
+        Ok(n) if accepted.contains(&n) => return Ok(n),
         Ok(_) => Some(format!("{accepted:?}")),
         Err(_) => None,
     };
-    Err(EnvError { var, value, range })
+    Err(FlagError {
+        flag,
+        value: value.to_string(),
+        range,
+    })
 }
 
 /// How much to simulate, and with how many workers.
@@ -124,52 +118,27 @@ impl RunPlan {
         }
     }
 
-    /// The full plan with `DOL_INSTS` / `DOL_MIXES` / `DOL_JOBS` /
-    /// `DOL_TRACE_DIR` environment overrides. A numeric override that is
-    /// set but does not parse, or falls outside its range (`DOL_INSTS`
-    /// at least 10000, `DOL_MIXES` 1 to 64, `DOL_JOBS` 0 to 256), is an
-    /// error, never silently ignored or clamped.
-    pub fn from_env() -> Result<Self, EnvError> {
-        Self::from_vars(process_env)
-    }
-
-    /// The plan of a binary that takes no arguments: [`from_env`](Self::from_env),
-    /// after refusing any command-line argument with a usage line on
-    /// stderr and exit status 2. An invalid override exits as
-    /// [`EnvError::exit`] does.
-    pub fn from_env_no_args() -> Self {
-        let mut argv = std::env::args();
-        let bin = argv.next().unwrap_or_default();
-        if argv.next().is_some() {
-            let name = std::path::Path::new(&bin).file_name().unwrap_or_default();
-            eprintln!(
-                "usage: {} (no arguments; budget from DOL_INSTS / DOL_MIXES / DOL_JOBS / \
-                 DOL_TRACE_DIR)",
-                name.to_string_lossy()
-            );
-            std::process::exit(2);
+    /// This plan with the plan flags `flag` returns a value for:
+    /// `--insts` (at least 10000), `--mixes` (1 to 64), `--jobs` (0 to
+    /// 256) and `--trace-dir`. A numeric value that does not parse or
+    /// falls outside its range is an error, never ignored or clamped.
+    pub fn with_flags<'a>(
+        mut self,
+        flag: impl Fn(&str) -> Option<&'a str>,
+    ) -> Result<Self, FlagError> {
+        if let Some(v) = flag("--insts") {
+            self.insts = parse_flag("--insts", v, 10_000..)?;
         }
-        Self::from_env().unwrap_or_else(|e| e.exit())
-    }
-
-    /// [`from_env`](Self::from_env) over the variables `lookup` returns.
-    pub(crate) fn from_vars(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, EnvError> {
-        let mut plan = RunPlan::full();
-        if let Some(n) = parse_override(&lookup, "DOL_INSTS", 10_000..)? {
-            plan.insts = n;
+        if let Some(v) = flag("--mixes") {
+            self.mix_count = parse_flag("--mixes", v, 1..=64)?;
         }
-        if let Some(n) = parse_override(&lookup, "DOL_MIXES", 1..=64)? {
-            plan.mix_count = n;
+        if let Some(v) = flag("--jobs") {
+            self.jobs = parse_flag("--jobs", v, 0..=256)?;
         }
-        if let Some(n) = parse_override(&lookup, "DOL_JOBS", 0..=256)? {
-            plan.jobs = n;
+        if let Some(v) = flag("--trace-dir") {
+            self.trace_dir = Some(PathBuf::from(v));
         }
-        if let Some(v) = lookup("DOL_TRACE_DIR") {
-            if !v.is_empty() {
-                plan.trace_dir = Some(PathBuf::from(v));
-            }
-        }
-        Ok(plan)
+        Ok(self)
     }
 
     /// Applies the plan's workload cap (smoke mode) to a suite.
@@ -205,85 +174,87 @@ mod tests {
         assert!(s.max_workloads.unwrap() <= 3);
     }
 
-    /// `from_vars` over a fixed set of variables.
-    fn plan_with(vars: &[(&str, &str)]) -> Result<RunPlan, EnvError> {
-        RunPlan::from_vars(|k| {
-            vars.iter()
-                .find(|(name, _)| *name == k)
-                .map(|(_, v)| v.to_string())
+    /// The full plan with the flags `given` applied.
+    fn plan_with(given: &[(&str, &'static str)]) -> Result<RunPlan, FlagError> {
+        RunPlan::full().with_flags(|flag| {
+            given
+                .iter()
+                .find(|(name, _)| *name == flag)
+                .map(|&(_, v)| v)
         })
     }
 
     #[test]
-    fn overrides_apply_and_empty_means_unset() {
+    fn flags_apply_and_empty_is_refused() {
         let plan = plan_with(&[
-            ("DOL_INSTS", "50000"),
-            ("DOL_MIXES", "3"),
-            ("DOL_JOBS", "2"),
+            ("--insts", "50000"),
+            ("--mixes", "3"),
+            ("--jobs", "2"),
+            ("--trace-dir", "traces"),
         ])
         .unwrap();
         assert_eq!((plan.insts, plan.mix_count, plan.jobs), (50_000, 3, 2));
+        assert_eq!(plan.trace_dir, Some(PathBuf::from("traces")));
         // The ends of every accepted range apply unchanged.
-        let low = plan_with(&[
-            ("DOL_INSTS", "10000"),
-            ("DOL_MIXES", "1"),
-            ("DOL_JOBS", "0"),
-        ])
-        .unwrap();
+        let low = plan_with(&[("--insts", "10000"), ("--mixes", "1"), ("--jobs", "0")]).unwrap();
         assert_eq!((low.insts, low.mix_count, low.jobs), (10_000, 1, 0));
-        let high = plan_with(&[("DOL_MIXES", "64"), ("DOL_JOBS", "256")]).unwrap();
+        let high = plan_with(&[("--mixes", "64"), ("--jobs", "256")]).unwrap();
         assert_eq!((high.mix_count, high.jobs), (64, 256));
-        let empty = plan_with(&[("DOL_INSTS", ""), ("DOL_MIXES", ""), ("DOL_JOBS", "")]);
-        assert_eq!(empty, Ok(RunPlan::full()));
+        assert_eq!(plan_with(&[]), Ok(RunPlan::full()));
+        // A flag given with an empty value is not a number.
+        for flag in ["--insts", "--mixes", "--jobs"] {
+            let err = plan_with(&[(flag, "")]).unwrap_err();
+            assert_eq!((err.flag, err.range), (flag, None));
+        }
     }
 
     #[test]
     fn garbage_dol_insts_is_an_error() {
-        let err = plan_with(&[("DOL_INSTS", "40k")]).unwrap_err();
+        let err = plan_with(&[("--insts", "40k")]).unwrap_err();
         assert_eq!(
             err,
-            EnvError {
-                var: "DOL_INSTS",
+            FlagError {
+                flag: "--insts",
                 value: "40k".into(),
                 range: None,
             }
         );
         assert_eq!(
             err.to_string(),
-            "invalid DOL_INSTS=\"40k\": expected a non-negative integer"
+            "invalid --insts \"40k\": expected a non-negative integer"
         );
         // Below the smallest budget is refused, not raised to it.
-        let err = plan_with(&[("DOL_INSTS", "5000")]).unwrap_err();
+        let err = plan_with(&[("--insts", "5000")]).unwrap_err();
         assert_eq!(err.range.as_deref(), Some("10000.."));
         assert_eq!(
             err.to_string(),
-            "invalid DOL_INSTS=\"5000\": expected an integer in 10000.."
+            "invalid --insts \"5000\": expected an integer in 10000.."
         );
     }
 
     #[test]
     fn garbage_dol_mixes_is_an_error() {
-        let err = plan_with(&[("DOL_INSTS", "50000"), ("DOL_MIXES", "-1")]).unwrap_err();
-        assert_eq!((err.var, err.value.as_str()), ("DOL_MIXES", "-1"));
+        let err = plan_with(&[("--insts", "50000"), ("--mixes", "-1")]).unwrap_err();
+        assert_eq!((err.flag, err.value.as_str()), ("--mixes", "-1"));
         // Out of range is refused, not clamped.
         for value in ["0", "65"] {
-            let err = plan_with(&[("DOL_MIXES", value)]).unwrap_err();
+            let err = plan_with(&[("--mixes", value)]).unwrap_err();
             assert_eq!(
                 err.to_string(),
-                format!("invalid DOL_MIXES=\"{value}\": expected an integer in 1..=64")
+                format!("invalid --mixes \"{value}\": expected an integer in 1..=64")
             );
         }
     }
 
     #[test]
     fn garbage_dol_jobs_is_an_error() {
-        let err = plan_with(&[("DOL_JOBS", "four")]).unwrap_err();
-        assert_eq!((err.var, err.value.as_str()), ("DOL_JOBS", "four"));
+        let err = plan_with(&[("--jobs", "four")]).unwrap_err();
+        assert_eq!((err.flag, err.value.as_str()), ("--jobs", "four"));
         // Out of range is refused, not capped.
-        let err = plan_with(&[("DOL_JOBS", "1000")]).unwrap_err();
+        let err = plan_with(&[("--jobs", "1000")]).unwrap_err();
         assert_eq!(
             err.to_string(),
-            "invalid DOL_JOBS=\"1000\": expected an integer in 0..=256"
+            "invalid --jobs \"1000\": expected an integer in 0..=256"
         );
     }
 

@@ -11,7 +11,6 @@
 
 use std::sync::Arc;
 
-use dol_core::Prefetcher;
 use dol_cpu::{RunResult, System, SystemConfig, Workload};
 use dol_isa::Trace;
 use dol_mem::CacheLevel;
@@ -195,12 +194,6 @@ pub fn single_core() -> System {
 /// Convenience: run a set of prefetchers over one prepared app.
 pub fn run_configs(base: &BaselineRun, configs: &[&str], sys: &System) -> Vec<AppRun> {
     configs.iter().map(|c| AppRun::run(base, c, sys)).collect()
-}
-
-/// Runs one workload under one boxed prefetcher (for callers that build
-/// prefetchers themselves).
-pub fn run_with(base: &BaselineRun, p: &mut dyn Prefetcher, sys: &System) -> RunResult {
-    sys.run(&base.workload, p)
 }
 
 #[cfg(test)]

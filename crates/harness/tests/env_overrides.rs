@@ -1,56 +1,51 @@
-//! A garbage or out-of-range `DOL_INSTS` / `DOL_MIXES` / `DOL_JOBS` value
-//! stops a figure binary with exit status 2 and an error naming the
-//! variable and the value, before any simulation runs. So does any
-//! command-line argument: the one-line figure binaries take none.
+//! A garbage or out-of-range `--insts` / `--mixes` / `--jobs` value, an
+//! unknown figure id, or a budget flag beside `--smoke` stops `dol fig`
+//! with exit status 2 and a one-line error, before any simulation runs.
 
 use std::process::Command;
 
-const VARS: [&str; 4] = ["DOL_INSTS", "DOL_MIXES", "DOL_JOBS", "DOL_TRACE_DIR"];
-
-/// Runs `table1` with only `var=value` of the `DOL_*` overrides set and
-/// checks it is refused as a usage error.
-fn assert_refused(var: &str, value: &str) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_table1"));
-    for v in VARS {
-        cmd.env_remove(v);
-    }
-    let out = cmd.env(var, value).output().expect("table1 runs");
+/// Runs `dol fig table1 args…` and checks it is refused as a usage error
+/// whose one stderr line contains `needle`.
+fn assert_refused(args: &[&str], needle: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_dol"))
+        .args(["fig", "table1"])
+        .args(args)
+        .output()
+        .expect("dol runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{var}={value}: stderr {stderr}");
-    assert!(
-        stderr.contains(&format!("invalid {var}=\"{value}\"")),
-        "{var}={value}: stderr {stderr}"
-    );
+    assert_eq!(out.status.code(), Some(2), "{args:?}: stderr {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{args:?}: stderr {stderr}");
+    assert!(stderr.contains(needle), "{args:?}: stderr {stderr}");
     assert!(out.stdout.is_empty(), "nothing is simulated or printed");
+}
+
+/// `dol fig table1 --<flag> <value>` is refused with an error naming the
+/// flag and the value.
+fn assert_bad_value(flag: &str, value: &str) {
+    assert_refused(&[flag, value], &format!("invalid {flag} \"{value}\""));
 }
 
 #[test]
 fn garbage_dol_insts_exits_2() {
-    assert_refused("DOL_INSTS", "40k");
-    assert_refused("DOL_INSTS", "5000");
+    assert_bad_value("--insts", "40k");
+    assert_bad_value("--insts", "5000");
 }
 
 #[test]
 fn garbage_dol_mixes_exits_2() {
-    assert_refused("DOL_MIXES", "two");
-    assert_refused("DOL_MIXES", "0");
+    assert_bad_value("--mixes", "two");
+    assert_bad_value("--mixes", "0");
 }
 
 #[test]
 fn garbage_dol_jobs_exits_2() {
-    assert_refused("DOL_JOBS", "-3");
-    assert_refused("DOL_JOBS", "1000");
+    assert_bad_value("--jobs", "-3");
+    assert_bad_value("--jobs", "1000");
 }
 
 #[test]
-fn any_argument_to_a_figure_binary_exits_2() {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_table1"));
-    for v in VARS {
-        cmd.env_remove(v);
-    }
-    let out = cmd.arg("--smoke").output().expect("table1 runs");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr {stderr}");
-    assert!(stderr.starts_with("usage: table1"), "stderr {stderr}");
-    assert!(out.stdout.is_empty(), "nothing is simulated or printed");
+fn unknown_ids_and_smoke_budgets_exit_2() {
+    assert_refused(&["fig99"], "unknown id `fig99`; ids: table1, table2, fig01");
+    assert_refused(&["--smoke", "--insts", "20000"], "--smoke");
+    assert_refused(&["--smoke", "--mixes", "2"], "--smoke");
 }

@@ -41,7 +41,7 @@ fn report_renders_identically_serial_vs_parallel() {
     assert_eq!(serial.table, parallel.table);
 }
 
-/// The full CI artifact, not just one driver: `run_all --smoke` must
+/// The full CI artifact, not just one driver: `dol all --smoke` must
 /// print byte-identical tables for any `--jobs` value (the table
 /// replacement policies are deterministic; nothing may depend on worker
 /// interleaving or process-random hash seeds).
@@ -50,19 +50,19 @@ fn report_renders_identically_serial_vs_parallel() {
     debug_assertions,
     ignore = "spawns two full smoke runs; run under --release"
 )]
-fn run_all_output_is_byte_identical_for_any_jobs() {
-    let exe = env!("CARGO_BIN_EXE_run_all");
+fn dol_all_output_is_byte_identical_for_any_jobs() {
+    let exe = env!("CARGO_BIN_EXE_dol");
     let run = |jobs: &str| {
         let out = std::process::Command::new(exe)
-            .args(["--smoke", "--jobs", jobs])
+            .args(["all", "--smoke", "--jobs", jobs])
             .output()
-            .expect("run_all spawns");
-        assert!(out.status.success(), "run_all --jobs {jobs} failed");
+            .expect("dol spawns");
+        assert!(out.status.success(), "dol all --jobs {jobs} failed");
         out.stdout
     };
     let serial = run("1");
     let parallel = run("4");
-    assert_eq!(serial, parallel, "run_all stdout must not depend on --jobs");
+    assert_eq!(serial, parallel, "dol all stdout must not depend on --jobs");
 }
 
 #[test]

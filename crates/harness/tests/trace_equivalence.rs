@@ -3,7 +3,7 @@
 //! A workload decoded from a `dol-trace` file must be
 //! indistinguishable from a live capture: same instruction stream, same
 //! memory image, same timing results — and therefore byte-identical
-//! `run_all` output. A damaged file must stop a replay loudly, after
+//! `dol all` output. A damaged file must stop a replay loudly, after
 //! exactly the instructions of its intact frames. The heavy end-to-end
 //! cases are ignored in debug builds (the simulator is ~20× slower
 //! there); `cargo test --release` and the CI smoke step run them.
@@ -62,11 +62,11 @@ fn replayed_workload_matches_live_capture() {
     }
 }
 
-/// `run_all --smoke` stdout is byte-identical whether workloads are
+/// `dol all --smoke` stdout is byte-identical whether workloads are
 /// captured live or replayed from recorded traces.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run under --release")]
-fn run_all_output_is_byte_identical_under_replay() {
+fn dol_all_output_is_byte_identical_under_replay() {
     let dir = tmp_dir("run-all-replay");
     let trace_dir = dir.join("traces");
 
@@ -96,17 +96,17 @@ fn run_all_output_is_byte_identical_under_replay() {
         String::from_utf8_lossy(&verify.stderr)
     );
 
-    let live = Command::new(env!("CARGO_BIN_EXE_run_all"))
-        .args(["--smoke", "--jobs", "0"])
+    let live = Command::new(env!("CARGO_BIN_EXE_dol"))
+        .args(["all", "--smoke", "--jobs", "0"])
         .output()
-        .expect("run_all runs");
+        .expect("dol runs");
     assert!(live.status.success());
 
-    let replay = Command::new(env!("CARGO_BIN_EXE_run_all"))
-        .args(["--smoke", "--jobs", "0", "--trace-dir"])
+    let replay = Command::new(env!("CARGO_BIN_EXE_dol"))
+        .args(["all", "--smoke", "--jobs", "0", "--trace-dir"])
         .arg(&trace_dir)
         .output()
-        .expect("run_all runs");
+        .expect("dol runs");
     assert!(
         replay.status.success(),
         "replay failed:\n{}",
@@ -116,7 +116,7 @@ fn run_all_output_is_byte_identical_under_replay() {
     assert_eq!(
         String::from_utf8_lossy(&live.stdout),
         String::from_utf8_lossy(&replay.stdout),
-        "replayed run_all output must be byte-identical to the live run"
+        "replayed dol all output must be byte-identical to the live run"
     );
 }
 

@@ -4,7 +4,7 @@
 use dol_core::{NoPrefetcher, Prefetcher, Tpc};
 use dol_cpu::{System, SystemConfig, Workload};
 use dol_harness::prefetchers;
-use dol_mem::{CacheLevel, CollectSink};
+use dol_mem::{CacheLevel, CollectSink, NullSink};
 use dol_metrics::{scope, FootprintSink, StreamingMetrics};
 
 const BUDGET: u64 = 120_000;
@@ -138,19 +138,15 @@ fn multicore_weighted_speedup_is_positive_for_tpc() {
     let sys4 = System::new(SystemConfig::isca2018(4));
     let sys1 = sys();
     let names = ["stream_sum", "region_shuffle", "hash_probe", "spmv_csr"];
-    let ws: Vec<Workload> = names.iter().map(|n| capture(n)).collect();
+    let ws: [Workload; 4] = names.map(capture);
     let alone: Vec<f64> = ws
         .iter()
         .map(|w| sys1.run(w, &mut NoPrefetcher).ipc())
         .collect();
 
     let run4 = |mk: &dyn Fn() -> Box<dyn Prefetcher>| {
-        let mut ps: Vec<Box<dyn Prefetcher>> = (0..4).map(|_| mk()).collect();
-        let mut refs: Vec<&mut dyn Prefetcher> = ps
-            .iter_mut()
-            .map(|p| p.as_mut() as &mut dyn Prefetcher)
-            .collect();
-        let r = sys4.run_multi(&ws, &mut refs);
+        let mut ps: [Box<dyn Prefetcher>; 4] = std::array::from_fn(|_| mk());
+        let r = sys4.run_corun(&ws, &mut ps, &mut NullSink);
         dol_metrics::weighted_speedup(&r.ipcs(), &alone)
     };
     let ws_none = run4(&|| Box::new(NoPrefetcher));
