@@ -9,7 +9,7 @@
 
 use dol_core::table::FullAssoc;
 use dol_core::{PrefetchRequest, Prefetcher, RetireInfo, CONF_MONOLITHIC};
-use dol_mem::{CacheLevel, Origin, LINE_BYTES};
+use dol_mem::{Origin, LINE_BYTES};
 
 const ZONE_BYTES: u64 = 4096;
 const LINES_PER_ZONE: i64 = (ZONE_BYTES / LINE_BYTES) as i64; // 64
@@ -34,17 +34,15 @@ struct Zone {
 #[derive(Debug, Clone)]
 pub struct Ampm {
     origin: Origin,
-    dest: CacheLevel,
     zones: FullAssoc<Zone>,
     clock: u64,
 }
 
 impl Ampm {
     /// Builds the Table II configuration.
-    pub fn new(origin: Origin, dest: CacheLevel) -> Self {
+    pub fn new(origin: Origin) -> Self {
         Ampm {
             origin,
-            dest,
             zones: FullAssoc::new(MAPS),
             clock: 0,
         }
@@ -114,7 +112,7 @@ impl Prefetcher for Ampm {
                     issued += 1;
                     out.push(PrefetchRequest::new(
                         zone * ZONE_BYTES + target as u64 * LINE_BYTES,
-                        self.dest,
+                        crate::DEST,
                         self.origin,
                         CONF_MONOLITHIC,
                     ));
@@ -131,7 +129,7 @@ mod tests {
 
     #[test]
     fn forward_stride_is_matched() {
-        let mut p = Ampm::new(Origin(22), CacheLevel::L1);
+        let mut p = Ampm::new(Origin(22));
         let out = feed(&mut p, strided(0x100, 0x40_0000, 64, 10));
         assert!(!out.is_empty());
         // The first prefetch fires at the third access (t−1, t−2 set).
@@ -140,7 +138,7 @@ mod tests {
 
     #[test]
     fn backward_stride_is_matched() {
-        let mut p = Ampm::new(Origin(22), CacheLevel::L1);
+        let mut p = Ampm::new(Origin(22));
         let base = 0x40_0000 + 32 * 64;
         let accesses: Vec<_> = (0..10u64)
             .map(|i| (0x100u64, base - i * 64, false))
@@ -154,7 +152,7 @@ mod tests {
     fn instruction_agnostic_matching() {
         // The same stream issued from alternating pcs still matches —
         // AMPM looks only at the map.
-        let mut p = Ampm::new(Origin(22), CacheLevel::L1);
+        let mut p = Ampm::new(Origin(22));
         let accesses: Vec<_> = (0..10u64)
             .map(|i| (0x100 + (i % 2) * 4, 0x40_0000 + i * 64, false))
             .collect();
@@ -164,7 +162,7 @@ mod tests {
 
     #[test]
     fn strides_wider_than_one_line_match() {
-        let mut p = Ampm::new(Origin(22), CacheLevel::L1);
+        let mut p = Ampm::new(Origin(22));
         let out = feed(&mut p, strided(0x100, 0x40_0000, 4 * 64, 8));
         assert!(!out.is_empty());
         assert!(out.iter().all(|r| (r.addr - 0x40_0000) % (4 * 64) == 0));
@@ -172,7 +170,7 @@ mod tests {
 
     #[test]
     fn prefetched_lines_are_not_reissued() {
-        let mut p = Ampm::new(Origin(22), CacheLevel::L1);
+        let mut p = Ampm::new(Origin(22));
         let out = feed(&mut p, strided(0x100, 0x40_0000, 64, 30));
         let mut addrs: Vec<u64> = out.iter().map(|r| r.addr).collect();
         let n = addrs.len();
@@ -183,7 +181,7 @@ mod tests {
 
     #[test]
     fn stays_inside_the_zone() {
-        let mut p = Ampm::new(Origin(22), CacheLevel::L1);
+        let mut p = Ampm::new(Origin(22));
         let out = feed(&mut p, strided(0x100, 0x40_0000, 64, 100));
         for r in &out {
             assert!(r.addr >= 0x40_0000 && r.addr < 0x40_0000 + 2 * ZONE_BYTES);

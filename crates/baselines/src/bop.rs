@@ -9,7 +9,7 @@
 
 use dol_core::table::{DirectTable, Geometry};
 use dol_core::{PrefetchRequest, Prefetcher, RetireInfo, CONF_MONOLITHIC};
-use dol_mem::{line_base, line_of, CacheLevel, Origin};
+use dol_mem::{line_base, line_of, Origin};
 
 /// The candidate offsets of the original design: integers in 1..=256
 /// whose prime factorization uses only 2, 3, and 5 (a subset keeps the
@@ -28,7 +28,6 @@ const BAD_SCORE: u32 = 5;
 #[derive(Debug, Clone)]
 pub struct Bop {
     origin: Origin,
-    dest: CacheLevel,
     /// Recent-requests table: direct-mapped by `line % RR_ENTRIES`,
     /// tagged by the full line; collisions displace.
     rr: DirectTable<()>,
@@ -43,10 +42,9 @@ pub struct Bop {
 
 impl Bop {
     /// Builds the Table II configuration.
-    pub fn new(origin: Origin, dest: CacheLevel) -> Self {
+    pub fn new(origin: Origin) -> Self {
         Bop {
             origin,
-            dest,
             rr: DirectTable::new(Geometry::direct(RR_ENTRIES, 12, 0)),
             scores: [0; OFFSET_LIST.len()],
             test_index: 0,
@@ -133,7 +131,7 @@ impl Prefetcher for Bop {
             let target = line.wrapping_add(self.best_offset as u64);
             out.push(PrefetchRequest::new(
                 line_base(target),
-                self.dest,
+                crate::DEST,
                 self.origin,
                 CONF_MONOLITHIC,
             ));
@@ -154,7 +152,7 @@ mod tests {
 
     #[test]
     fn learns_the_dominant_offset() {
-        let mut p = Bop::new(Origin(19), CacheLevel::L1);
+        let mut p = Bop::new(Origin(19));
         // Stride of 4 lines; after learning, best offset should be 4 (or
         // a multiple that also scores, but 4 scores every access).
         feed(&mut p, misses(4, 4000));
@@ -164,7 +162,7 @@ mod tests {
 
     #[test]
     fn prefetches_at_best_offset() {
-        let mut p = Bop::new(Origin(19), CacheLevel::L1);
+        let mut p = Bop::new(Origin(19));
         feed(&mut p, misses(4, 4000));
         let best = p.best_offset();
         let out = feed(&mut p, vec![(0x100, 0x80_0000, false)]);
@@ -174,7 +172,7 @@ mod tests {
 
     #[test]
     fn hits_on_own_prefetches_count_as_training() {
-        let mut p = Bop::new(Origin(19), CacheLevel::L1);
+        let mut p = Bop::new(Origin(19));
         // A hit served by a prefetch participates (L2 access stream).
         use dol_core::{AccessInfo, RetireInfo};
         use dol_isa::{InstKind, Reg, RetiredInst};
@@ -205,14 +203,14 @@ mod tests {
 
     #[test]
     fn plain_l1_hits_are_ignored() {
-        let mut p = Bop::new(Origin(19), CacheLevel::L1);
+        let mut p = Bop::new(Origin(19));
         let out = feed(&mut p, vec![(0x100, 0x40_0000, true)]);
         assert!(out.is_empty());
     }
 
     #[test]
     fn deactivates_on_unpredictable_streams() {
-        let mut p = Bop::new(Origin(19), CacheLevel::L1);
+        let mut p = Bop::new(Origin(19));
         // Random lines: no offset ever scores; after a full learning
         // phase BOP must deactivate.
         let mut a = 7u64;

@@ -10,7 +10,7 @@
 //! distance 4/8/16/32/64 lines.
 
 use dol_core::{PrefetchRequest, Prefetcher, RetireInfo, CONF_MONOLITHIC};
-use dol_mem::{line_base, line_of, CacheLevel, Origin};
+use dol_mem::{line_base, line_of, Origin};
 
 const STREAMS: usize = 64;
 /// Lines within which a miss trains an existing stream.
@@ -39,7 +39,6 @@ struct Stream {
 #[derive(Debug, Clone)]
 pub struct Fdp {
     origin: Origin,
-    dest: CacheLevel,
     streams: Vec<Stream>,
     level: usize,
     clock: u64,
@@ -52,10 +51,9 @@ pub struct Fdp {
 impl Fdp {
     /// Builds the Table II configuration, starting at the middle
     /// aggressiveness level.
-    pub fn new(origin: Origin, dest: CacheLevel) -> Self {
+    pub fn new(origin: Origin) -> Self {
         Fdp {
             origin,
-            dest,
             streams: vec![Stream::default(); STREAMS],
             level: 2,
             clock: 0,
@@ -165,7 +163,7 @@ impl Prefetcher for Fdp {
                         issued += 1;
                         out.push(PrefetchRequest::new(
                             line_base(next),
-                            self.dest,
+                            crate::DEST,
                             self.origin,
                             CONF_MONOLITHIC,
                         ));
@@ -203,7 +201,7 @@ mod tests {
 
     #[test]
     fn tracks_an_ascending_stream() {
-        let mut p = Fdp::new(Origin(20), CacheLevel::L1);
+        let mut p = Fdp::new(Origin(20));
         let out = feed(&mut p, strided(0x100, 0x40_0000, 64, 40));
         assert!(!out.is_empty());
         let addrs: Vec<u64> = out.iter().map(|r| r.addr).collect();
@@ -212,7 +210,7 @@ mod tests {
 
     #[test]
     fn tracks_a_descending_stream() {
-        let mut p = Fdp::new(Origin(20), CacheLevel::L1);
+        let mut p = Fdp::new(Origin(20));
         let accesses: Vec<_> = (0..40u64)
             .map(|i| (0x100u64, 0x40_0000 - i * 64, false))
             .collect();
@@ -224,7 +222,7 @@ mod tests {
 
     #[test]
     fn aggressiveness_rises_with_useful_feedback() {
-        let mut p = Fdp::new(Origin(20), CacheLevel::L1);
+        let mut p = Fdp::new(Origin(20));
         let start = p.level();
         // Simulate an interval of training with every prefetch useful:
         // feed misses (training/issuing) plus hits served by our origin.
@@ -270,7 +268,7 @@ mod tests {
 
     #[test]
     fn aggressiveness_falls_without_useful_hits() {
-        let mut p = Fdp::new(Origin(20), CacheLevel::L1);
+        let mut p = Fdp::new(Origin(20));
         let start = p.level();
         // Plenty of issued prefetches, zero useful hits.
         feed(&mut p, strided(0x100, 0x40_0000, 64, 8000));
@@ -284,7 +282,7 @@ mod tests {
 
     #[test]
     fn multiple_streams_coexist() {
-        let mut p = Fdp::new(Origin(20), CacheLevel::L1);
+        let mut p = Fdp::new(Origin(20));
         let mut accesses = Vec::new();
         for i in 0..40u64 {
             accesses.push((0x100u64, 0x40_0000 + i * 64, false));

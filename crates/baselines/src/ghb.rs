@@ -10,7 +10,7 @@
 
 use dol_core::table::{DirectTable, Geometry, IndexKind};
 use dol_core::{PrefetchRequest, Prefetcher, RetireInfo, CONF_MONOLITHIC};
-use dol_mem::{CacheLevel, Origin};
+use dol_mem::Origin;
 
 const GHB_ENTRIES: usize = 256;
 const INDEX_ENTRIES: usize = 256;
@@ -32,7 +32,6 @@ struct GhbEntry {
 #[derive(Debug, Clone)]
 pub struct GhbPcDc {
     origin: Origin,
-    dest: CacheLevel,
     ghb: Vec<GhbEntry>,
     /// Index table: direct-mapped by `(pc >> 2) % INDEX_ENTRIES`, tagged
     /// by the full PC; the payload is the absolute sequence number of
@@ -44,10 +43,9 @@ pub struct GhbPcDc {
 
 impl GhbPcDc {
     /// Builds the Table II configuration.
-    pub fn new(origin: Origin, dest: CacheLevel) -> Self {
+    pub fn new(origin: Origin) -> Self {
         GhbPcDc {
             origin,
-            dest,
             ghb: vec![GhbEntry::default(); GHB_ENTRIES],
             index: DirectTable::new(Geometry {
                 sets: INDEX_ENTRIES,
@@ -137,7 +135,7 @@ impl Prefetcher for GhbPcDc {
             if target > 4096 {
                 out.push(PrefetchRequest::new(
                     target,
-                    self.dest,
+                    crate::DEST,
                     self.origin,
                     CONF_MONOLITHIC,
                 ));
@@ -153,7 +151,7 @@ mod tests {
 
     #[test]
     fn constant_stride_is_a_degenerate_delta_pair() {
-        let mut p = GhbPcDc::new(Origin(16), CacheLevel::L1);
+        let mut p = GhbPcDc::new(Origin(16));
         let out = feed(&mut p, strided(0x100, 0x10_0000, 256, 30));
         assert!(!out.is_empty());
         // Replayed deltas are all 256.
@@ -166,7 +164,7 @@ mod tests {
     #[test]
     fn repeating_delta_pattern_is_replayed() {
         // Pattern of deltas: +64, +64, +4096, repeating.
-        let mut p = GhbPcDc::new(Origin(16), CacheLevel::L1);
+        let mut p = GhbPcDc::new(Origin(16));
         let mut addr = 0x10_0000u64;
         let mut accesses = Vec::new();
         for _ in 0..12 {
@@ -188,14 +186,14 @@ mod tests {
 
     #[test]
     fn no_history_no_prefetch() {
-        let mut p = GhbPcDc::new(Origin(16), CacheLevel::L1);
+        let mut p = GhbPcDc::new(Origin(16));
         let out = feed(&mut p, vec![(0x100, 0x8000, false), (0x100, 0x9000, false)]);
         assert!(out.is_empty(), "needs at least 4 accesses for a pair match");
     }
 
     #[test]
     fn history_reconstruction_survives_wraparound() {
-        let mut p = GhbPcDc::new(Origin(16), CacheLevel::L1);
+        let mut p = GhbPcDc::new(Origin(16));
         // Two pcs interleaved, enough to wrap the 256-entry GHB multiple
         // times; per-PC links must never cross streams.
         let mut accesses = Vec::new();

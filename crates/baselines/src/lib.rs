@@ -20,15 +20,15 @@
 //!   with the signature of the previous page rather than full cross-page
 //!   delta stitching.
 //!
-//! Use [`registry::all_monolithic`] to instantiate the full comparison
-//! set with distinct metric origins, or construct prefetchers directly:
+//! Every design prefetches into L1 ([`DEST`]). Build one by name with
+//! [`registry::monolithic_by_name`], or construct it directly:
 //!
 //! ```
 //! use dol_baselines::Bop;
 //! use dol_core::Prefetcher;
-//! use dol_mem::{CacheLevel, Origin};
+//! use dol_mem::Origin;
 //!
-//! let bop = Bop::new(Origin(17), CacheLevel::L1);
+//! let bop = Bop::new(Origin(17));
 //! assert_eq!(bop.name(), "BOP");
 //! assert_eq!(bop.storage_bits(), 4 * 8 * 1024);
 //! ```
@@ -53,6 +53,13 @@ pub use sms::Sms;
 pub use spp::Spp;
 pub use stride_pc::StridePc;
 pub use vldp::Vldp;
+
+use dol_mem::CacheLevel;
+
+/// Where every monolithic design prefetches: L1, as in the paper's
+/// evaluation (footnote 5). Figure 16 moves prefetches elsewhere through
+/// the system-level destination policy, not here.
+pub const DEST: CacheLevel = CacheLevel::L1;
 
 #[cfg(test)]
 pub(crate) mod testutil {

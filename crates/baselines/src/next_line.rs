@@ -1,35 +1,18 @@
 //! Next-line prefetching (Jouppi-style), the simplest reference point.
 
 use dol_core::{PrefetchRequest, Prefetcher, RetireInfo, CONF_MONOLITHIC};
-use dol_mem::{line_base, line_of, CacheLevel, Origin};
+use dol_mem::{line_base, line_of, Origin};
 
-/// Prefetches the line following every L1 miss.
+/// Prefetches the line following every L1 miss (degree 1).
 #[derive(Debug, Clone, Copy)]
 pub struct NextLine {
     origin: Origin,
-    dest: CacheLevel,
-    /// Lines ahead to fetch (degree).
-    degree: u32,
 }
 
 impl NextLine {
     /// Degree-1 next-line prefetcher.
-    pub fn new(origin: Origin, dest: CacheLevel) -> Self {
-        NextLine {
-            origin,
-            dest,
-            degree: 1,
-        }
-    }
-
-    /// Next-`degree`-lines prefetcher.
-    pub fn with_degree(origin: Origin, dest: CacheLevel, degree: u32) -> Self {
-        assert!(degree >= 1);
-        NextLine {
-            origin,
-            dest,
-            degree,
-        }
+    pub fn new(origin: Origin) -> Self {
+        NextLine { origin }
     }
 }
 
@@ -50,15 +33,12 @@ impl Prefetcher for NextLine {
         if access.l1_hit || access.secondary {
             return;
         }
-        let line = line_of(addr);
-        for k in 1..=self.degree as u64 {
-            out.push(PrefetchRequest::new(
-                line_base(line + k),
-                self.dest,
-                self.origin,
-                CONF_MONOLITHIC,
-            ));
-        }
+        out.push(PrefetchRequest::new(
+            line_base(line_of(addr) + 1),
+            crate::DEST,
+            self.origin,
+            CONF_MONOLITHIC,
+        ));
     }
 }
 
@@ -69,18 +49,10 @@ mod tests {
 
     #[test]
     fn prefetches_next_line_on_misses_only() {
-        let mut p = NextLine::new(Origin(16), CacheLevel::L1);
+        let mut p = NextLine::new(Origin(16));
         let out = feed(&mut p, vec![(0x100, 0x8000, false), (0x100, 0x8008, true)]);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].addr, 0x8040);
-    }
-
-    #[test]
-    fn degree_fans_out() {
-        let mut p = NextLine::with_degree(Origin(16), CacheLevel::L2, 3);
-        let out = feed(&mut p, vec![(0x100, 0x8000, false)]);
-        let addrs: Vec<u64> = out.iter().map(|r| r.addr).collect();
-        assert_eq!(addrs, vec![0x8040, 0x8080, 0x80C0]);
-        assert!(out.iter().all(|r| r.dest == CacheLevel::L2));
+        assert_eq!(out[0].dest, dol_mem::CacheLevel::L1);
     }
 }

@@ -2,29 +2,25 @@
 
 use crate::{Ampm, Bop, Fdp, GhbPcDc, NextLine, Sms, Spp, StridePc, Vldp};
 use dol_core::{origins, Prefetcher};
-use dol_mem::{CacheLevel, Origin};
+use dol_mem::Origin;
 
 /// Names of the seven monolithic prefetchers of the paper's evaluation,
 /// in Table II order.
 pub const MONOLITHIC_NAMES: [&str; 7] = ["GHB-PC/DC", "SPP", "VLDP", "BOP", "FDP", "SMS", "AMPM"];
 
-/// Builds one monolithic prefetcher by name with the given origin and
-/// destination. Returns `None` for unknown names.
-pub fn monolithic_by_name(
-    name: &str,
-    origin: Origin,
-    dest: CacheLevel,
-) -> Option<Box<dyn Prefetcher>> {
+/// Builds one monolithic prefetcher by name with the given origin.
+/// Returns `None` for unknown names.
+pub fn monolithic_by_name(name: &str, origin: Origin) -> Option<Box<dyn Prefetcher>> {
     Some(match name {
-        "GHB-PC/DC" => Box::new(GhbPcDc::new(origin, dest)),
-        "SPP" => Box::new(Spp::new(origin, dest)),
-        "VLDP" => Box::new(Vldp::new(origin, dest)),
-        "BOP" => Box::new(Bop::new(origin, dest)),
-        "FDP" => Box::new(Fdp::new(origin, dest)),
-        "SMS" => Box::new(Sms::new(origin, dest)),
-        "AMPM" => Box::new(Ampm::new(origin, dest)),
-        "NextLine" => Box::new(NextLine::new(origin, dest)),
-        "StridePC" => Box::new(StridePc::new(origin, dest)),
+        "GHB-PC/DC" => Box::new(GhbPcDc::new(origin)),
+        "SPP" => Box::new(Spp::new(origin)),
+        "VLDP" => Box::new(Vldp::new(origin)),
+        "BOP" => Box::new(Bop::new(origin)),
+        "FDP" => Box::new(Fdp::new(origin)),
+        "SMS" => Box::new(Sms::new(origin)),
+        "AMPM" => Box::new(Ampm::new(origin)),
+        "NextLine" => Box::new(NextLine::new(origin)),
+        "StridePC" => Box::new(StridePc::new(origin)),
         _ => return None,
     })
 }
@@ -35,43 +31,28 @@ pub fn monolithic_origin(i: usize) -> Origin {
     Origin(origins::MONOLITHIC_BASE + i as u16)
 }
 
-/// Instantiates the paper's full comparison set (all seven monolithics)
-/// with distinct origins, prefetching into `dest`.
-pub fn all_monolithic(dest: CacheLevel) -> Vec<(Origin, Box<dyn Prefetcher>)> {
-    MONOLITHIC_NAMES
-        .iter()
-        .enumerate()
-        .map(|(i, name)| {
-            let origin = monolithic_origin(i);
-            let p = monolithic_by_name(name, origin, dest).expect("known name");
-            (origin, p)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn all_seven_build_with_distinct_origins_and_names() {
-        let set = all_monolithic(CacheLevel::L1);
-        assert_eq!(set.len(), 7);
-        let mut origins: Vec<u16> = set.iter().map(|(o, _)| o.0).collect();
+        let mut origins: Vec<u16> = (0..MONOLITHIC_NAMES.len())
+            .map(|i| monolithic_origin(i).0)
+            .collect();
         origins.sort_unstable();
         origins.dedup();
         assert_eq!(origins.len(), 7);
-        let names: Vec<&str> = set.iter().map(|(_, p)| p.name()).collect();
-        assert_eq!(names, MONOLITHIC_NAMES.to_vec());
+        for (i, name) in MONOLITHIC_NAMES.iter().enumerate() {
+            let p = monolithic_by_name(name, monolithic_origin(i)).expect("known name");
+            assert_eq!(p.name(), *name);
+        }
     }
 
     #[test]
     fn storage_budgets_match_table_ii() {
         let kb = |name: &str| {
-            monolithic_by_name(name, Origin(16), CacheLevel::L1)
-                .unwrap()
-                .storage_bits() as f64
-                / 8192.0
+            monolithic_by_name(name, Origin(16)).unwrap().storage_bits() as f64 / 8192.0
         };
         assert_eq!(kb("GHB-PC/DC"), 4.0);
         assert_eq!(kb("SPP"), 5.0);
@@ -84,6 +65,6 @@ mod tests {
 
     #[test]
     fn unknown_name_is_none() {
-        assert!(monolithic_by_name("nope", Origin(16), CacheLevel::L1).is_none());
+        assert!(monolithic_by_name("nope", Origin(16)).is_none());
     }
 }

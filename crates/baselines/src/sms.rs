@@ -9,7 +9,7 @@
 
 use dol_core::table::{DirectTable, FullAssoc, Geometry};
 use dol_core::{PrefetchRequest, Prefetcher, RetireInfo, CONF_MONOLITHIC};
-use dol_mem::{line_of, region_of, CacheLevel, Origin, LINE_BYTES, REGION_LINES};
+use dol_mem::{line_of, region_of, Origin, LINE_BYTES, REGION_LINES};
 
 const AT_ENTRIES: usize = 64;
 const FT_ENTRIES: usize = 32;
@@ -39,7 +39,6 @@ struct FtEntry {
 #[derive(Debug, Clone)]
 pub struct Sms {
     origin: Origin,
-    dest: CacheLevel,
     at: FullAssoc<AtEntry>,
     ft: FullAssoc<FtEntry>,
     /// Pattern history: direct-mapped by `key % PHT_ENTRIES`, tagged by
@@ -50,10 +49,9 @@ pub struct Sms {
 
 impl Sms {
     /// Builds the Table II configuration.
-    pub fn new(origin: Origin, dest: CacheLevel) -> Self {
+    pub fn new(origin: Origin) -> Self {
         Sms {
             origin,
-            dest,
             at: FullAssoc::new(AT_ENTRIES),
             ft: FullAssoc::new(FT_ENTRIES),
             pht: DirectTable::new(Geometry::direct(PHT_ENTRIES, 30, 16)),
@@ -146,7 +144,7 @@ impl Prefetcher for Sms {
                 if pattern & (1 << k) != 0 {
                     out.push(PrefetchRequest::new(
                         (base_line + k) * LINE_BYTES,
-                        self.dest,
+                        crate::DEST,
                         self.origin,
                         CONF_MONOLITHIC,
                     ));
@@ -189,7 +187,7 @@ mod tests {
 
     #[test]
     fn replays_the_recorded_pattern() {
-        let mut p = Sms::new(Origin(21), CacheLevel::L1);
+        let mut p = Sms::new(Origin(21));
         // Train over many regions (AT evictions store patterns in PHT).
         feed(&mut p, pattern_walk(0x100, 0..80));
         // Fresh region, same trigger (pc, offset 0): predict {3, 7, 9}.
@@ -204,7 +202,7 @@ mod tests {
 
     #[test]
     fn pc_keying_generalizes_across_trigger_offsets() {
-        let mut p = Sms::new(Origin(21), CacheLevel::L1);
+        let mut p = Sms::new(Origin(21));
         feed(&mut p, pattern_walk(0x100, 0..80));
         // Trigger at a fresh offset still predicts this pc's pattern
         // (PC-only keying maximizes scope, matching the paper's SMS
@@ -222,7 +220,7 @@ mod tests {
 
     #[test]
     fn single_access_regions_never_pollute_the_pht() {
-        let mut p = Sms::new(Origin(21), CacheLevel::L1);
+        let mut p = Sms::new(Origin(21));
         // Touch many regions exactly once.
         let singles: Vec<_> = (0..200u64)
             .map(|r| (0x300u64, r * REGION_LINES * LINE_BYTES, false))
@@ -237,7 +235,7 @@ mod tests {
 
     #[test]
     fn patterns_are_per_pc() {
-        let mut p = Sms::new(Origin(21), CacheLevel::L1);
+        let mut p = Sms::new(Origin(21));
         feed(&mut p, pattern_walk(0x100, 0..80));
         let out = feed(
             &mut p,

@@ -9,7 +9,7 @@
 
 use dol_core::table::{DirectTable, Geometry};
 use dol_core::{PrefetchRequest, Prefetcher, RetireInfo, CONF_MONOLITHIC};
-use dol_mem::{CacheLevel, Origin, LINE_BYTES};
+use dol_mem::{Origin, LINE_BYTES};
 
 const PAGE_BYTES: u64 = 4096;
 const LINES_PER_PAGE: i64 = (PAGE_BYTES / LINE_BYTES) as i64; // 64
@@ -53,7 +53,6 @@ struct GhrEntry {
 #[derive(Debug, Clone)]
 pub struct Spp {
     origin: Origin,
-    dest: CacheLevel,
     /// Signature table: direct-mapped by `page % ST_ENTRIES`, tagged by
     /// the full page number.
     st: DirectTable<StEntry>,
@@ -74,10 +73,9 @@ fn advance_signature(sig: u16, delta: i64) -> u16 {
 
 impl Spp {
     /// Builds the Table II configuration.
-    pub fn new(origin: Origin, dest: CacheLevel) -> Self {
+    pub fn new(origin: Origin) -> Self {
         Spp {
             origin,
-            dest,
             st: DirectTable::new(Geometry::direct(ST_ENTRIES, 16, 18)),
             pt: DirectTable::new(Geometry::direct(PT_ENTRIES, 0, 52)),
             ghr: [GhrEntry::default(); GHR_ENTRIES],
@@ -219,7 +217,7 @@ impl Prefetcher for Spp {
             if !self.filter_hit(target / LINE_BYTES) {
                 out.push(PrefetchRequest::new(
                     target,
-                    self.dest,
+                    crate::DEST,
                     self.origin,
                     CONF_MONOLITHIC,
                 ));
@@ -236,7 +234,7 @@ mod tests {
 
     #[test]
     fn strided_page_walk_prefetches_ahead() {
-        let mut p = Spp::new(Origin(17), CacheLevel::L1);
+        let mut p = Spp::new(Origin(17));
         let out = feed(&mut p, strided(0x100, 0x40_0000, 64, 40));
         assert!(!out.is_empty());
         // All targets are within the training pages and ahead of demand.
@@ -245,7 +243,7 @@ mod tests {
 
     #[test]
     fn lookahead_goes_multiple_steps() {
-        let mut p = Spp::new(Origin(17), CacheLevel::L1);
+        let mut p = Spp::new(Origin(17));
         // Long, highly confident stream — lookahead depth should exceed 1
         // on later accesses.
         let out = feed(&mut p, strided(0x100, 0x40_0000, 64, 60));
@@ -259,7 +257,7 @@ mod tests {
 
     #[test]
     fn stops_at_page_boundary() {
-        let mut p = Spp::new(Origin(17), CacheLevel::L1);
+        let mut p = Spp::new(Origin(17));
         let out = feed(&mut p, strided(0x100, 0x40_0000, 64, 80));
         // Training walks through two pages; no prefetch may land outside
         // a page that its signature walk started in.
@@ -277,7 +275,7 @@ mod tests {
 
     #[test]
     fn ghr_bootstraps_new_pages() {
-        let mut p = Spp::new(Origin(17), CacheLevel::L1);
+        let mut p = Spp::new(Origin(17));
         // Walk page A fully, then enter page B at the projected offset.
         let mut accesses = strided(0x100, 0x40_0000, 64, 64); // page A: offsets 0..63
         accesses.extend(strided(0x100, 0x40_1000, 64, 4)); // page B continues the walk
@@ -303,7 +301,7 @@ mod tests {
     fn alternating_deltas_learned_as_path() {
         // Offsets: +1, +3, +1, +3, ... SPP's signature distinguishes the
         // two states and predicts each next delta.
-        let mut p = Spp::new(Origin(17), CacheLevel::L1);
+        let mut p = Spp::new(Origin(17));
         let mut addr = 0x80_0000u64;
         let mut accesses = Vec::new();
         for _ in 0..30 {

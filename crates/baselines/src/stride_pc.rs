@@ -2,7 +2,7 @@
 
 use dol_core::table::{DirectTable, Geometry, IndexKind};
 use dol_core::{PrefetchRequest, Prefetcher, RetireInfo, CONF_MONOLITHIC};
-use dol_mem::{CacheLevel, Origin};
+use dol_mem::Origin;
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Entry {
@@ -11,24 +11,24 @@ struct Entry {
     confidence: u8,
 }
 
+/// Prefetches issued per confident access.
+const DEGREE: i64 = 2;
+
 /// A reference-prediction-table stride prefetcher keyed by PC
-/// (Chen/Baer style), with 2-bit confidence and configurable degree.
+/// (Chen/Baer style), with 2-bit confidence and degree 2.
 /// The RPT is a direct-mapped [`DirectTable`] indexed by `pc >> 2`,
 /// exactly the historical `(pc >> 2) % 256` layout.
 #[derive(Debug, Clone)]
 pub struct StridePc {
     origin: Origin,
-    dest: CacheLevel,
     table: DirectTable<Entry>,
-    degree: u32,
 }
 
 impl StridePc {
     /// 256-entry table, degree 2.
-    pub fn new(origin: Origin, dest: CacheLevel) -> Self {
+    pub fn new(origin: Origin) -> Self {
         StridePc {
             origin,
-            dest,
             table: DirectTable::new(Geometry {
                 sets: 256,
                 ways: 1,
@@ -36,15 +36,7 @@ impl StridePc {
                 value_bits: 66,
                 index: IndexKind::LowBits { shift: 2 },
             }),
-            degree: 2,
         }
-    }
-
-    /// Override the prefetch degree.
-    pub fn with_degree(mut self, degree: u32) -> Self {
-        assert!(degree >= 1);
-        self.degree = degree;
-        self
     }
 }
 
@@ -91,12 +83,12 @@ impl Prefetcher for StridePc {
         e.last_addr = addr;
         if e.confidence >= 2 {
             let stride = e.stride;
-            for k in 1..=self.degree as i64 {
+            for k in 1..=DEGREE {
                 let target = addr.wrapping_add((stride * k) as u64);
                 if target > 4096 {
                     out.push(PrefetchRequest::new(
                         target,
-                        self.dest,
+                        crate::DEST,
                         self.origin,
                         CONF_MONOLITHIC,
                     ));
@@ -113,7 +105,7 @@ mod tests {
 
     #[test]
     fn locks_onto_a_stride() {
-        let mut p = StridePc::new(Origin(16), CacheLevel::L1);
+        let mut p = StridePc::new(Origin(16));
         let out = feed(&mut p, strided(0x100, 0x8000, 64, 20));
         assert!(!out.is_empty());
         // After confirmation, each access yields degree-2 prefetches.
@@ -124,7 +116,7 @@ mod tests {
 
     #[test]
     fn random_stream_is_quiet() {
-        let mut p = StridePc::new(Origin(16), CacheLevel::L1);
+        let mut p = StridePc::new(Origin(16));
         let mut a = 1u64;
         let accesses: Vec<_> = (0..100)
             .map(|_| {
@@ -142,7 +134,7 @@ mod tests {
 
     #[test]
     fn interfering_pcs_alias_gracefully() {
-        let mut p = StridePc::new(Origin(16), CacheLevel::L1);
+        let mut p = StridePc::new(Origin(16));
         // Two pcs, same table slot region, interleaved strided streams.
         let mut accesses = Vec::new();
         for i in 0..40u64 {

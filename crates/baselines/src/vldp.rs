@@ -7,7 +7,7 @@
 
 use dol_core::table::{DirectTable, FullAssoc, Geometry};
 use dol_core::{PrefetchRequest, Prefetcher, RetireInfo, CONF_MONOLITHIC};
-use dol_mem::{CacheLevel, Origin, LINE_BYTES};
+use dol_mem::{Origin, LINE_BYTES};
 
 const PAGE_BYTES: u64 = 4096;
 const LINES_PER_PAGE: i64 = (PAGE_BYTES / LINE_BYTES) as i64;
@@ -36,7 +36,6 @@ struct DptEntry {
 #[derive(Debug, Clone)]
 pub struct Vldp {
     origin: Origin,
-    dest: CacheLevel,
     /// Delta history buffer, a [`FullAssoc`] keyed by page (pages are
     /// unique among live entries; one stamp per retire keeps LRU exact).
     dhb: FullAssoc<DhbEntry>,
@@ -60,10 +59,9 @@ fn key_of(deltas: &[i64]) -> u64 {
 
 impl Vldp {
     /// Builds the Table II configuration.
-    pub fn new(origin: Origin, dest: CacheLevel) -> Self {
+    pub fn new(origin: Origin) -> Self {
         Vldp {
             origin,
-            dest,
             dhb: FullAssoc::new(DHB_ENTRIES),
             dpt: [
                 DirectTable::new(Geometry::direct(DPT_ENTRIES, 12, 9)),
@@ -155,7 +153,7 @@ impl Prefetcher for Vldp {
                         let target = page * PAGE_BYTES + target_off as u64 * LINE_BYTES;
                         out.push(PrefetchRequest::new(
                             target,
-                            self.dest,
+                            crate::DEST,
                             self.origin,
                             CONF_MONOLITHIC,
                         ));
@@ -207,7 +205,7 @@ impl Prefetcher for Vldp {
             let target = page * PAGE_BYTES + look_offset as u64 * LINE_BYTES;
             out.push(PrefetchRequest::new(
                 target,
-                self.dest,
+                crate::DEST,
                 self.origin,
                 CONF_MONOLITHIC,
             ));
@@ -224,7 +222,7 @@ mod tests {
 
     #[test]
     fn constant_stride_chains_to_full_degree() {
-        let mut p = Vldp::new(Origin(18), CacheLevel::L1);
+        let mut p = Vldp::new(Origin(18));
         let out = feed(&mut p, strided(0x100, 0x40_0000, 64, 30));
         assert!(!out.is_empty());
         let demand_last = 0x40_0000 + 29 * 64;
@@ -237,7 +235,7 @@ mod tests {
         // Delta sequence per page: +1 +1 +2 | +1 +1 +2 | ... A 1-delta
         // table alone can't disambiguate after "+1"; the 2-delta table
         // can.
-        let mut p = Vldp::new(Origin(18), CacheLevel::L1);
+        let mut p = Vldp::new(Origin(18));
         let mut accesses = Vec::new();
         for page in 0..30u64 {
             let base = 0x40_0000 + page * PAGE_BYTES;
@@ -258,7 +256,7 @@ mod tests {
 
     #[test]
     fn opt_predicts_first_delta_of_new_pages() {
-        let mut p = Vldp::new(Origin(18), CacheLevel::L1);
+        let mut p = Vldp::new(Origin(18));
         // Several pages all starting at offset 0 with first delta +3.
         let mut accesses = Vec::new();
         for page in 0..10u64 {
@@ -279,7 +277,7 @@ mod tests {
 
     #[test]
     fn stays_inside_the_page() {
-        let mut p = Vldp::new(Origin(18), CacheLevel::L1);
+        let mut p = Vldp::new(Origin(18));
         let out = feed(&mut p, strided(0x100, 0x40_0000, 64, 200));
         for r in &out {
             assert_eq!(r.addr % 64, 0);

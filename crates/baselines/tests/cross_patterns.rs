@@ -2,7 +2,7 @@
 //! every canonical pattern, checking qualitative selectivity (fires on
 //! its home pattern, stays quiet — or at least restrained — elsewhere).
 
-use dol_baselines::registry::{all_monolithic, monolithic_by_name, MONOLITHIC_NAMES};
+use dol_baselines::registry::{monolithic_by_name, monolithic_origin, MONOLITHIC_NAMES};
 use dol_core::{AccessInfo, PrefetchRequest, Prefetcher, RetireInfo};
 use dol_isa::{InstKind, Reg, RetiredInst};
 use dol_mem::{CacheLevel, Origin};
@@ -54,13 +54,14 @@ fn every_monolithic_fires_on_a_unit_stride() {
     // 3000 accesses = ~190 regions: enough for SMS's accumulation table
     // to turn over and populate its pattern history.
     for name in MONOLITHIC_NAMES {
-        let mut p = monolithic_by_name(name, Origin(16), CacheLevel::L1).unwrap();
+        let mut p = monolithic_by_name(name, Origin(16)).unwrap();
         let out = feed(p.as_mut(), unit_stride(3000));
         assert!(!out.is_empty(), "{name} must prefetch a unit-stride stream");
         // And every target must be ahead of the stream base, line-aligned.
         for r in &out {
             assert_eq!(r.addr % 64, 0, "{name} produced an unaligned target");
             assert!(r.addr >= 0x40_0000, "{name} prefetched behind the stream");
+            assert_eq!(r.dest, CacheLevel::L1, "{name} prefetches into L1");
         }
     }
 }
@@ -73,9 +74,9 @@ fn confidence_driven_designs_restrain_on_random_streams() {
     // learning phase — 2600 trained accesses — completes, and only then
     // deactivates; its own unit test covers that deactivation.)
     for name in ["SPP", "VLDP", "FDP"] {
-        let mut p = monolithic_by_name(name, Origin(16), CacheLevel::L1).unwrap();
+        let mut p = monolithic_by_name(name, Origin(16)).unwrap();
         let on_stride = feed(p.as_mut(), unit_stride(3000)).len();
-        let mut p = monolithic_by_name(name, Origin(16), CacheLevel::L1).unwrap();
+        let mut p = monolithic_by_name(name, Origin(16)).unwrap();
         let on_random = feed(p.as_mut(), random_stream(3000)).len();
         assert!(
             on_random * 3 < on_stride,
@@ -86,8 +87,9 @@ fn confidence_driven_designs_restrain_on_random_streams() {
 
 #[test]
 fn registry_set_carries_distinct_origins_into_requests() {
-    let set = all_monolithic(CacheLevel::L1);
-    for (origin, mut p) in set {
+    for (i, name) in MONOLITHIC_NAMES.iter().enumerate() {
+        let origin = monolithic_origin(i);
+        let mut p = monolithic_by_name(name, origin).unwrap();
         let out = feed(p.as_mut(), unit_stride(400));
         for r in &out {
             assert_eq!(r.origin, origin, "{} must stamp its own origin", p.name());
@@ -108,7 +110,7 @@ fn prefetchers_survive_interleaved_independent_streams() {
     }
     let mut cover_all = 0;
     for name in MONOLITHIC_NAMES {
-        let mut p = monolithic_by_name(name, Origin(16), CacheLevel::L1).unwrap();
+        let mut p = monolithic_by_name(name, Origin(16)).unwrap();
         let out = feed(p.as_mut(), accesses.clone());
         let regions = [0x10_0000u64, 0x20_0000, 0x30_0000, 0x40_0000];
         let covered = regions
@@ -133,7 +135,7 @@ fn stores_train_prefetchers_too() {
     // A strided store stream (write-allocate misses) must be prefetchable
     // by the map/stream designs.
     let mut out = Vec::new();
-    let mut ampm = monolithic_by_name("AMPM", Origin(16), CacheLevel::L1).unwrap();
+    let mut ampm = monolithic_by_name("AMPM", Origin(16)).unwrap();
     for i in 0..100u64 {
         let inst = RetiredInst {
             pc: 0x100,

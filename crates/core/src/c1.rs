@@ -15,35 +15,40 @@ use crate::table::{DirectTable, Geometry, RecentFilter};
 use crate::{AccessInfo, PrefetchRequest, Prefetcher, RetireInfo, CONF_C1};
 use dol_mem::{line_of, region_of, CacheLevel, Origin, LINE_BYTES, REGION_LINES};
 
-/// C1 tuning knobs (paper defaults).
+/// Where C1 prefetches land: L2, since its accuracy is lower than
+/// T2's and P1's (Sec. IV-D).
+const DEST: CacheLevel = CacheLevel::L2;
+
+/// Region Monitor entries: the paper's 16-entry RM (Table II).
+const RM_ENTRIES: usize = 16;
+
+/// Instruction Monitor entries: the paper's 16-entry IM (Table II). An
+/// RM entry's `pc_vec` has one bit per IM entry.
+const IM_ENTRIES: usize = 16;
+
+/// Regions observed before deciding about an instruction (Sec. IV-C).
+const DECISION_TOTAL: u32 = 4;
+
+/// Remembered per-instruction decisions: a direct-mapped table that
+/// models C1's 1 KB of state bits (Table II).
+const DECIDED_ENTRIES: usize = 4096;
+
+/// C1 settings an experiment varies (paper defaults).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct C1Config {
-    /// Region Monitor entries (16).
-    pub rm_entries: usize,
-    /// Instruction Monitor entries (16).
-    pub im_entries: usize,
     /// A region is *dense* when more than this many of its 16 line bits
     /// are set (6).
     pub dense_lines: u32,
-    /// Regions observed before deciding about an instruction (4).
-    pub decision_total: u32,
     /// Decide *dense* when `dense/total` strictly exceeds this ratio
     /// (numerator, denominator) — the paper's 3/4.
     pub decision_ratio: (u32, u32),
-    /// Bound on remembered per-instruction decisions (models the 1 KB of
-    /// state bits).
-    pub decided_entries: usize,
 }
 
 impl Default for C1Config {
     fn default() -> Self {
         C1Config {
-            rm_entries: 16,
-            im_entries: 16,
             dense_lines: 6,
-            decision_total: 4,
             decision_ratio: (3, 4),
-            decided_entries: 4096,
         }
     }
 }
@@ -86,7 +91,7 @@ pub struct C1 {
     rm: Vec<RmEntry>,
     im: Vec<Option<ImEntry>>,
     /// Per-instruction dense/sparse decisions: a direct-mapped table of
-    /// `decided_entries` slots (the modeled 1 KB of decision state); a
+    /// `DECIDED_ENTRIES` slots (the modeled 1 KB of decision state); a
     /// colliding PC deterministically displaces the old decision.
     decided: DirectTable<Decision>,
     /// Recently prefetched regions (shared across trigger instructions),
@@ -100,13 +105,9 @@ impl C1 {
     /// Creates the component with the given origin tag.
     pub fn new(cfg: C1Config, origin: Origin) -> Self {
         C1 {
-            rm: Vec::with_capacity(cfg.rm_entries),
-            im: vec![None; cfg.im_entries],
-            decided: DirectTable::new(Geometry::direct(
-                cfg.decided_entries.next_power_of_two(),
-                16,
-                2,
-            )),
+            rm: Vec::with_capacity(RM_ENTRIES),
+            im: vec![None; IM_ENTRIES],
+            decided: DirectTable::new(Geometry::direct(DECIDED_ENTRIES, 16, 2)),
             recent_regions: RecentFilter::new(16),
             clock: 0,
             cfg,
@@ -130,7 +131,7 @@ impl C1 {
 
     fn retire_rm_entry(&mut self, entry: RmEntry) {
         let dense = entry.line_vec.count_ones() > self.cfg.dense_lines;
-        for k in 0..self.cfg.im_entries.min(16) {
+        for k in 0..IM_ENTRIES {
             if entry.pc_vec & (1 << k) == 0 {
                 continue;
             }
@@ -140,7 +141,7 @@ impl C1 {
             if dense {
                 im.dense += 1;
             }
-            if im.total >= self.cfg.decision_total {
+            if im.total >= DECISION_TOTAL {
                 let (num, den) = self.cfg.decision_ratio;
                 let is_dense = im.dense * den > num * im.total;
                 self.remember_decision(im.pc, is_dense);
@@ -205,7 +206,7 @@ impl C1 {
                     pc_vec: im_idx.map(|k| 1u16 << k).unwrap_or(0),
                     stamp: self.clock,
                 };
-                if self.rm.len() < self.cfg.rm_entries {
+                if self.rm.len() < RM_ENTRIES {
                     self.rm.push(fresh);
                 } else {
                     let victim = self
@@ -257,7 +258,7 @@ impl C1 {
                     }
                     out.push(PrefetchRequest::new(
                         line * LINE_BYTES,
-                        CacheLevel::L2,
+                        DEST,
                         self.origin,
                         CONF_C1,
                     ));
@@ -275,7 +276,7 @@ impl Prefetcher for C1 {
     /// Table II: 16-entry IM (640 bits) + 16-entry RM (1248 bits) +
     /// 1 KB of decision state ≈ 1.2 KB.
     fn storage_bits(&self) -> u64 {
-        self.cfg.im_entries as u64 * 40 + self.cfg.rm_entries as u64 * 78 + 8 * 1024
+        IM_ENTRIES as u64 * 40 + RM_ENTRIES as u64 * 78 + 8 * 1024
     }
 
     fn on_retire(&mut self, ev: &RetireInfo<'_>, out: &mut Vec<PrefetchRequest>) {

@@ -85,8 +85,7 @@ pub use api::{
 };
 pub use c1::{C1Config, C1};
 pub use composite::Composite;
-pub use loop_hw::{LoopHardware, LoopHardwareConfig};
-pub use p1::P1Config;
+pub use loop_hw::LoopHardware;
 pub use shunt::Shunt;
 pub use sit::{InstLabel, Sit, SitConfig};
 pub use tpc::{Tpc, TpcBuilder, TpcConfig};

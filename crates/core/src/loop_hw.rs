@@ -8,24 +8,13 @@
 //! another branch's back-to-back pattern are remembered in the Non-Loop
 //! PC Table (NLPCT) and skipped thereafter.
 
-/// Configuration of the loop hardware.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoopHardwareConfig {
-    /// Non-Loop PC Table capacity (the paper evaluates 20 entries).
-    pub nlpct_entries: usize,
-    /// Exponential-moving-average weight (power of two) for the
-    /// per-iteration time estimate: larger is smoother.
-    pub t_iter_ema_shift: u32,
-}
+/// Non-Loop PC Table capacity: the paper's 20-entry NLPCT (Table II).
+const NLPCT_ENTRIES: usize = 20;
 
-impl Default for LoopHardwareConfig {
-    fn default() -> Self {
-        LoopHardwareConfig {
-            nlpct_entries: 20,
-            t_iter_ema_shift: 2,
-        }
-    }
-}
+/// Weight (a power of two) of the per-iteration time EMA: each new
+/// iteration moves the estimate by 1/4. The paper does not give the
+/// smoothing; this is the model's choice.
+const T_ITER_EMA_SHIFT: u32 = 2;
 
 /// An identified inner loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,12 +41,18 @@ impl ActiveLoop {
     pub fn t_iter_q4(&self) -> u64 {
         self.t_iter_q4.max(1)
     }
+
+    /// Folds an iteration that took `dt` cycles into the estimate.
+    fn close_iteration(&mut self, dt: u64) {
+        let shift = T_ITER_EMA_SHIFT;
+        self.t_iter_q4 = self.t_iter_q4 - (self.t_iter_q4 >> shift) + ((dt << 4) >> shift);
+        self.iterations += 1;
+    }
 }
 
 /// The loop-branch register, NLPCT, and iteration timer.
 #[derive(Debug, Clone)]
 pub struct LoopHardware {
-    cfg: LoopHardwareConfig,
     /// The loop-branch register: candidate (pc, target).
     lbr: Option<(u64, u64)>,
     /// The candidate displaced by the most recent mismatch, to recognize
@@ -70,13 +65,12 @@ pub struct LoopHardware {
 }
 
 impl LoopHardware {
-    /// Creates the hardware with the given configuration.
-    pub fn new(cfg: LoopHardwareConfig) -> Self {
+    /// Creates the hardware with no loop identified.
+    pub fn new() -> Self {
         LoopHardware {
-            cfg,
             lbr: None,
             prev: None,
-            nlpct: Vec::with_capacity(cfg.nlpct_entries),
+            nlpct: Vec::with_capacity(NLPCT_ENTRIES),
             active: None,
             last_boundary: 0,
         }
@@ -95,14 +89,14 @@ impl LoopHardware {
     /// Storage cost in bits: NLPCT PCs (32b each) + loop-branch register
     /// (2 × 32b) + timer state.
     pub fn storage_bits(&self) -> u64 {
-        self.cfg.nlpct_entries as u64 * 32 + 2 * 32 + 64
+        NLPCT_ENTRIES as u64 * 32 + 2 * 32 + 64
     }
 
     fn remember_non_loop(&mut self, pc: u64) {
         if self.nlpct.contains(&pc) {
             return;
         }
-        if self.nlpct.len() == self.cfg.nlpct_entries {
+        if self.nlpct.len() == NLPCT_ENTRIES {
             self.nlpct.remove(0); // FIFO
         }
         self.nlpct.push(pc);
@@ -122,11 +116,7 @@ impl LoopHardware {
                 let dt = now.saturating_sub(self.last_boundary).max(1);
                 self.last_boundary = now;
                 match &mut self.active {
-                    Some(a) if a.branch_pc == pc => {
-                        let shift = self.cfg.t_iter_ema_shift;
-                        a.t_iter_q4 = a.t_iter_q4 - (a.t_iter_q4 >> shift) + ((dt << 4) >> shift);
-                        a.iterations += 1;
-                    }
+                    Some(a) if a.branch_pc == pc => a.close_iteration(dt),
                     _ => {
                         self.active = Some(ActiveLoop {
                             branch_pc: pc,
@@ -152,10 +142,7 @@ impl LoopHardware {
                     self.last_boundary = now;
                     if let Some(a) = &mut self.active {
                         if a.branch_pc == pc {
-                            let shift = self.cfg.t_iter_ema_shift;
-                            a.t_iter_q4 =
-                                a.t_iter_q4 - (a.t_iter_q4 >> shift) + ((dt << 4) >> shift);
-                            a.iterations += 1;
+                            a.close_iteration(dt);
                             return true;
                         }
                     }
@@ -178,7 +165,7 @@ impl LoopHardware {
 
 impl Default for LoopHardware {
     fn default() -> Self {
-        LoopHardware::new(LoopHardwareConfig::default())
+        LoopHardware::new()
     }
 }
 
@@ -252,16 +239,15 @@ mod tests {
 
     #[test]
     fn nlpct_capacity_is_fifo() {
-        let mut lh = LoopHardware::new(LoopHardwareConfig {
-            nlpct_entries: 2,
-            t_iter_ema_shift: 2,
-        });
-        // Convict three branches via direct insertion path.
-        lh.remember_non_loop(1);
-        lh.remember_non_loop(2);
-        lh.remember_non_loop(3);
+        let mut lh = LoopHardware::new();
+        // Convict one branch more than the table holds, via the direct
+        // insertion path.
+        let last = NLPCT_ENTRIES as u64 + 1;
+        for pc in 1..=last {
+            lh.remember_non_loop(pc);
+        }
         assert!(!lh.is_non_loop(1), "oldest evicted");
-        assert!(lh.is_non_loop(2) && lh.is_non_loop(3));
+        assert!((2..=last).all(|pc| lh.is_non_loop(pc)));
     }
 
     #[test]

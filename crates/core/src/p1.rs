@@ -26,38 +26,31 @@ use crate::{PrefetchRequest, RetireInfo, CONF_P1};
 use dol_isa::InstKind;
 use dol_mem::{CacheLevel, Origin};
 
-/// P1 tuning knobs (paper defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct P1Config {
-    /// Iterations of a constant value→address delta to confirm a pattern
-    /// (the paper uses 4 everywhere).
-    pub ptr_confirm: u32,
-    /// Instances of the investigated instruction before giving up and
-    /// rotating to another candidate.
-    pub investigation_iters: u32,
-    /// Steady-state chain prefetch depth (nodes ahead of the program).
-    pub chain_depth: u32,
-    /// Consecutive unpredicted addresses before the chain FSM resets
-    /// (the paper's time-out correction, Sec. IV-B2).
-    pub chain_timeout: u32,
-    /// Concurrent chain FSMs.
-    pub chain_entries: usize,
-    /// Outstanding future-pointer value requests.
-    pub pending_values: usize,
-}
+/// Where P1 prefetches land: L1, its accuracy warrants it (Sec. IV-D).
+const DEST: CacheLevel = CacheLevel::L1;
 
-impl Default for P1Config {
-    fn default() -> Self {
-        P1Config {
-            ptr_confirm: 4,
-            investigation_iters: 24,
-            chain_depth: 4,
-            chain_timeout: 8,
-            chain_entries: 8,
-            pending_values: 64,
-        }
-    }
-}
+/// Iterations of a constant value→address delta that confirm a pointer
+/// pattern: the paper's four (Sec. IV-B1).
+const PTR_CONFIRM: u32 = 4;
+
+/// Instances of the investigated instruction before P1 gives up and
+/// moves on to another candidate. The paper does not give the bound;
+/// this is the model's choice.
+const INVESTIGATION_ITERS: u32 = 24;
+
+/// Steady-state chain prefetch depth, in nodes ahead of the program
+/// (the model's choice; the paper's FSM walks "ahead", Sec. IV-B2).
+const CHAIN_DEPTH: u32 = 4;
+
+/// Consecutive unpredicted addresses before a chain FSM resets: the
+/// paper's time-out correction (Sec. IV-B2), with the model's bound.
+const CHAIN_TIMEOUT: u32 = 8;
+
+/// Concurrent chain FSMs, inside P1's 1 KB of state bits (Table II).
+const CHAIN_ENTRIES: usize = 8;
+
+/// Outstanding future-pointer value requests (the model's bound).
+const PENDING_VALUES: usize = 64;
 
 #[derive(Debug, Clone)]
 struct Candidate {
@@ -105,13 +98,12 @@ struct ChainFsm {
 /// The P1 pointer component. Operates on the (shared) [`Sit`].
 #[derive(Debug, Clone)]
 pub struct P1 {
-    cfg: P1Config,
     origin: Origin,
     /// Taint bit per logical register.
     taint: u32,
     investigating: Option<Investigation>,
     /// Fully-associative LRU table of concurrent chain FSMs
-    /// (`chain_entries` ways in one set — the hardware holds a handful
+    /// (`CHAIN_ENTRIES` ways in one set — the hardware holds a handful
     /// of serialized walkers).
     chains: AssocTable<ChainFsm>,
     /// Confirmed array-of-pointers *target* pcs (the dependent loads).
@@ -122,13 +114,12 @@ pub struct P1 {
 }
 
 impl P1 {
-    pub(crate) fn new(cfg: P1Config, origin: Origin) -> Self {
+    pub(crate) fn new(origin: Origin) -> Self {
         P1 {
-            cfg,
             origin,
             taint: 0,
             investigating: None,
-            chains: AssocTable::new(Geometry::assoc(1, cfg.chain_entries, 48, 112)),
+            chains: AssocTable::new(Geometry::assoc(1, CHAIN_ENTRIES, 48, 112)),
             aop_targets: Vec::new(),
             pending: Vec::new(),
         }
@@ -151,10 +142,11 @@ impl P1 {
             .unwrap_or(false)
     }
 
-    /// T2 calls this when it issues a `want_value` stride prefetch for an
-    /// array-of-pointers producer, so the completion can be routed back.
+    /// Remembers a `want_value` prefetch so its completion can be routed
+    /// back: T2 calls this for an array-of-pointers producer's stride
+    /// prefetches, and the chain FSM for each node it walks.
     pub(crate) fn register_future_pointer(&mut self, addr: u64, producer_mpc: u64) {
-        if self.pending.len() >= self.cfg.pending_values {
+        if self.pending.len() >= PENDING_VALUES {
             self.pending.remove(0);
         }
         self.pending.push((addr, producer_mpc));
@@ -224,8 +216,7 @@ impl P1 {
                         }
                     }
                 }
-                let confirm = self.cfg.ptr_confirm;
-                if let Some(c) = inv.candidates.iter().find(|c| c.count >= confirm) {
+                if let Some(c) = inv.candidates.iter().find(|c| c.count >= PTR_CONFIRM) {
                     // Confirm: mark the producer in the SIT.
                     let (mpc, delta, target_pc) = (inv.mpc, c.delta, c.pc);
                     if let Some(e) = sit.entry_mut(mpc) {
@@ -253,12 +244,7 @@ impl P1 {
                 // Every observed pointer value yields a target prefetch.
                 let target = value.wrapping_add(delta as u64);
                 if target > 4096 {
-                    out.push(PrefetchRequest::new(
-                        target,
-                        CacheLevel::L1,
-                        self.origin,
-                        CONF_P1,
-                    ));
+                    out.push(PrefetchRequest::new(target, DEST, self.origin, CONF_P1));
                 }
             }
             if let Some(delta) = e.chain_delta {
@@ -318,7 +304,7 @@ impl P1 {
                     inv.chain_delta = u.value_to_addr;
                     inv.chain_count = 1;
                 }
-                if inv.chain_count >= self.cfg.ptr_confirm {
+                if inv.chain_count >= PTR_CONFIRM {
                     let delta = inv.chain_delta;
                     if let Some(e) = sit.entry_mut(mpc) {
                         e.chain_delta = Some(delta);
@@ -341,7 +327,7 @@ impl P1 {
         // Restart taint from i's destination each iteration (the paper's
         // "process stops when instruction i is encountered again").
         let dst = inv.dst;
-        let give_up = inv.iters >= self.cfg.investigation_iters;
+        let give_up = inv.iters >= INVESTIGATION_ITERS;
         self.taint = 1 << dst;
         if give_up {
             self.investigating = None;
@@ -375,7 +361,7 @@ impl P1 {
             fsm.misses_in_a_row = 0;
         } else {
             fsm.misses_in_a_row += 1;
-            if fsm.misses_in_a_row >= self.cfg.chain_timeout {
+            if fsm.misses_in_a_row >= CHAIN_TIMEOUT {
                 // Reset the FSM; re-anchor at the current position.
                 fsm.ahead = 0;
                 fsm.waiting = false;
@@ -384,28 +370,21 @@ impl P1 {
         }
         let _ = addr;
         // Catch-up / steady state: walk ahead from the current value.
-        if !fsm.waiting && fsm.ahead < self.cfg.chain_depth {
+        if !fsm.waiting && fsm.ahead < CHAIN_DEPTH {
             let next = value.wrapping_add(delta as u64);
             if next > 4096 {
                 fsm.frontier = next;
                 fsm.waiting = true;
                 out.push(PrefetchRequest {
                     addr: next,
-                    dest: CacheLevel::L1,
+                    dest: DEST,
                     origin: self.origin,
                     confidence: CONF_P1,
                     want_value: true,
                 });
-                self.register_future_pointer_chain(next, mpc);
+                self.register_future_pointer(next, mpc);
             }
         }
-    }
-
-    fn register_future_pointer_chain(&mut self, addr: u64, mpc: u64) {
-        if self.pending.len() >= self.cfg.pending_values {
-            self.pending.remove(0);
-        }
-        self.pending.push((addr, mpc));
     }
 
     /// A `want_value` prefetch completed; continue chains and
@@ -426,7 +405,7 @@ impl P1 {
         if let Some(fsm) = self.chains.get_mut(mpc) {
             fsm.waiting = false;
             fsm.ahead += 1;
-            if fsm.ahead < self.cfg.chain_depth {
+            if fsm.ahead < CHAIN_DEPTH {
                 let next = value.wrapping_add(fsm.delta as u64);
                 if next > 4096 && next != fsm.frontier {
                     fsm.frontier = next;
@@ -434,12 +413,12 @@ impl P1 {
                     let origin = self.origin;
                     out.push(PrefetchRequest {
                         addr: next,
-                        dest: CacheLevel::L1,
+                        dest: DEST,
                         origin,
                         confidence: CONF_P1,
                         want_value: true,
                     });
-                    self.register_future_pointer_chain(next, mpc);
+                    self.register_future_pointer(next, mpc);
                 }
             }
             return;
@@ -451,12 +430,7 @@ impl P1 {
             if let Some(delta) = e.aop_delta {
                 let target = value.wrapping_add(delta as u64);
                 if target > 4096 {
-                    out.push(PrefetchRequest::new(
-                        target,
-                        CacheLevel::L1,
-                        self.origin,
-                        CONF_P1,
-                    ));
+                    out.push(PrefetchRequest::new(target, DEST, self.origin, CONF_P1));
                 }
             }
         }
@@ -523,7 +497,7 @@ mod tests {
     #[test]
     fn detects_array_of_pointers() {
         let mut sit = Sit::new(SitConfig::default());
-        let mut p1 = P1::new(P1Config::default(), Origin(2));
+        let mut p1 = P1::new(Origin(2));
         let mut reqs = Vec::new();
         for n in 0..48u64 {
             let ptr_val = 0x10_0000 + n * 0x400; // pointers in the array
@@ -555,7 +529,7 @@ mod tests {
     #[test]
     fn detects_pointer_chain_and_walks_ahead() {
         let mut sit = Sit::new(SitConfig::default());
-        let mut p1 = P1::new(P1Config::default(), Origin(2));
+        let mut p1 = P1::new(Origin(2));
         // Build a deterministic node sequence.
         let node = |k: u64| 0x20_0000 + k * 0x1000;
         let mut reqs = Vec::new();
@@ -585,7 +559,7 @@ mod tests {
     #[test]
     fn chain_continues_on_prefetch_completion() {
         let mut sit = Sit::new(SitConfig::default());
-        let mut p1 = P1::new(P1Config::default(), Origin(2));
+        let mut p1 = P1::new(Origin(2));
         let node = |k: u64| 0x20_0000 + k * 0x1000;
         let mut reqs = Vec::new();
         for n in 0..20u64 {
@@ -617,7 +591,7 @@ mod tests {
     #[test]
     fn chain_resets_after_timeout_on_wrong_track() {
         let mut sit = Sit::new(SitConfig::default());
-        let mut p1 = P1::new(P1Config::default(), Origin(2));
+        let mut p1 = P1::new(Origin(2));
         let node = |k: u64| 0x20_0000 + k * 0x1000;
         for n in 0..10u64 {
             let i = RetiredInst {
@@ -654,7 +628,7 @@ mod tests {
     #[test]
     fn non_pointer_streams_stay_unclaimed() {
         let mut sit = Sit::new(SitConfig::default());
-        let mut p1 = P1::new(P1Config::default(), Origin(2));
+        let mut p1 = P1::new(Origin(2));
         // Plain strided loads with non-pointer values.
         for n in 0..40u64 {
             let i = load(0x300, 0x8000 + n * 64, n * 3 + 1, Reg::R1, Reg::R2);

@@ -30,35 +30,29 @@ pub enum InstLabel {
     NonStrided,
 }
 
-/// SIT tuning knobs (the paper's Sec. IV-A2 values as defaults).
+/// Instructions the label store can track: it models the I-cache state
+/// bits, 2 bits per instruction in the paper's 2 KB budget (Table II).
+const LABEL_ENTRIES: usize = 8192;
+
+/// SIT settings an experiment varies (the paper's Sec. IV-A2 values as
+/// defaults).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SitConfig {
     /// Table entries (32 for T2, 8 for a standalone P1 per Table II).
     pub entries: usize,
-    /// Instructions the label store can track (models the I-cache state
-    /// bits: 2 bits per instruction; the paper budgets 2 KB).
-    pub label_entries: usize,
     /// Consecutive equal deltas to label an instruction strided (16).
     pub stride_confirm: u32,
-    /// Consecutive changing deltas to label it non-strided (4).
-    pub nonstride_confirm: u32,
     /// Equal deltas after which prefetching may begin while still in
     /// observation (4).
     pub early_issue: u32,
-    /// Iterations of a constant value→address delta to confirm a pointer
-    /// pattern (4).
-    pub ptr_confirm: u32,
 }
 
 impl Default for SitConfig {
     fn default() -> Self {
         SitConfig {
             entries: 32,
-            label_entries: 8192,
             stride_confirm: 16,
-            nonstride_confirm: 4,
             early_issue: 4,
-            ptr_confirm: 4,
         }
     }
 }
@@ -134,14 +128,13 @@ pub struct SitUpdate {
 /// (The per-entry `stamp` field is gone; recency is the table's.)
 #[derive(Debug, Clone)]
 pub struct Sit {
-    cfg: SitConfig,
     entries: FullAssoc<SitEntry>,
     labels: DirectTable<InstLabel>,
     clock: u64,
 }
 
 impl Sit {
-    /// Creates an empty table.
+    /// Creates an empty table of `cfg.entries` entries.
     pub fn new(cfg: SitConfig) -> Self {
         // The label store models the I-cache state bits: direct-mapped
         // on the low PC bits, 2 bits of label per instruction. A
@@ -149,18 +142,12 @@ impl Sit {
         // reset to Unknown — like an I-cache line replacement. The tag
         // keeps aliasing PCs from reading each other's label; its cost
         // is the I-cache's own tag, so `storage_bits` stays 2b/entry.
-        let label_geom = Geometry::direct(cfg.label_entries.next_power_of_two(), 16, 2);
+        let label_geom = Geometry::direct(LABEL_ENTRIES, 16, 2);
         Sit {
-            cfg,
             entries: FullAssoc::new(cfg.entries),
             labels: DirectTable::new(label_geom),
             clock: 0,
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &SitConfig {
-        &self.cfg
     }
 
     /// Storage bits, matching the paper's Table II budget: each entry
@@ -169,7 +156,7 @@ impl Sit {
     /// I-cache state per labelled instruction (the paper's "2 KB state
     /// bits"). P1's value/pointer extensions are budgeted to P1.
     pub fn storage_bits(&self) -> u64 {
-        self.cfg.entries as u64 * 64 + self.cfg.label_entries as u64 * 2
+        self.entries.capacity() as u64 * 64 + LABEL_ENTRIES as u64 * 2
     }
 
     /// The label of instruction `pc`.
@@ -222,7 +209,6 @@ impl Sit {
     pub fn update(&mut self, mpc: u64, pc: u64, addr: u64, value: u64) -> Option<SitUpdate> {
         self.clock += 1;
         let stamp = self.clock;
-        let cfg = self.cfg;
         if let Some(i) = self.entries.find(mpc) {
             self.entries.touch(i, stamp);
             let e = self.entries.value_mut(i);
@@ -236,7 +222,6 @@ impl Sit {
                 e.same = 1;
                 e.diff = e.diff.saturating_add(1);
             }
-            let _ = cfg;
             e.last_addr = addr;
             e.last_value = value;
             if (e.frontier < addr && e.delta > 0) || (e.frontier > addr && e.delta < 0) {
@@ -365,17 +350,13 @@ mod tests {
 
     #[test]
     fn label_store_is_bounded() {
-        let mut s = Sit::new(SitConfig {
-            label_entries: 4,
-            ..SitConfig::default()
-        });
-        for pc in 0..8u64 {
+        let mut s = sit();
+        let pcs = 0..2 * LABEL_ENTRIES as u64;
+        for pc in pcs.clone() {
             s.set_label(pc, InstLabel::Strided);
         }
-        let tracked = (0..8u64)
-            .filter(|pc| s.label(*pc) != InstLabel::Unknown)
-            .count();
-        assert!(tracked <= 4);
+        let tracked = pcs.filter(|pc| s.label(*pc) != InstLabel::Unknown).count();
+        assert!(tracked <= LABEL_ENTRIES);
     }
 
     #[test]

@@ -11,26 +11,52 @@
 //! The TPC coordinator (Sec. IV-D) is hardwired decision logic with no
 //! storage: a memory instruction is presented to T2 first, to P1 when T2
 //! does not handle it, and to C1 last. T2 and P1 prefetch to L1 (their
-//! accuracy warrants it); C1 prefetches to L2.
+//! accuracy warrants it); C1 prefetches to L2. T2 also sends load streams
+//! with strides of 2 KB or more to L2 and issues nothing for such store
+//! streams.
 
 use crate::c1::{C1Config, C1};
-use crate::loop_hw::{LoopHardware, LoopHardwareConfig};
-use crate::p1::{P1Config, P1};
+use crate::loop_hw::LoopHardware;
+use crate::p1::P1;
 use crate::sit::{InstLabel, Sit, SitConfig, SitUpdate};
 use crate::{CompletedPrefetch, PrefetchRequest, Prefetcher, RetireInfo, CONF_T2};
 use dol_isa::InstKind;
 use dol_mem::CacheLevel;
 
-/// Full configuration of a [`Tpc`] instance.
+/// Margin `m` in `d = (AMAT + m) / T_iter`, in cycles (Sec. IV-A3; the
+/// paper leaves the value open, this is the model's).
+const MARGIN: u64 = 128;
+
+/// Lower clamp on the prefetch distance, in strides.
+const MIN_DISTANCE: u32 = 2;
+
+/// Upper clamp on the prefetch distance, in strides.
+const MAX_DISTANCE: u32 = 256;
+
+/// Most stride prefetches issued per retire (the catch-up burst).
+const CATCH_UP_BURST: u32 = 8;
+
+/// How far ahead of the demand stream T2 runs, in bytes, for L1-bound
+/// streams (twice this for L2-bound ones): large-stride streams would
+/// otherwise run hundreds of KB ahead and thrash the cache levels they
+/// prefetch into.
+const MAX_AHEAD_BYTES: u64 = 16 * 1024;
+
+/// Consecutive changing deltas that label an instruction non-strided:
+/// the paper's four (Sec. IV-A2).
+const NONSTRIDE_CONFIRM: u32 = 4;
+
+/// Stride magnitude, in bytes, from which T2 sends a load stream's
+/// prefetches to L2 instead of L1 and issues none for a store stream.
+const LARGE_STRIDE: u64 = 2048;
+
+/// The settings an experiment varies; everything else in TPC is a
+/// constant of the paper's design.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TpcConfig {
-    /// SIT and instruction-label parameters.
+    /// SIT size and stride thresholds.
     pub sit: SitConfig,
-    /// Loop-identification parameters.
-    pub loop_hw: LoopHardwareConfig,
-    /// P1 parameters.
-    pub p1: P1Config,
-    /// C1 parameters.
+    /// C1 density thresholds.
     pub c1: C1Config,
     /// Enable T2's stride prefetching (detection always runs; a
     /// standalone P1 needs stride *detection* to find pointer-array
@@ -40,18 +66,6 @@ pub struct TpcConfig {
     pub issue_p1: bool,
     /// Enable the C1 component.
     pub issue_c1: bool,
-    /// Margin constant `m` in `d = (AMAT + m) / T_iter`, in cycles.
-    pub margin: u64,
-    /// Prefetch distance clamp.
-    pub min_distance: u32,
-    /// Prefetch distance clamp.
-    pub max_distance: u32,
-    /// Maximum stride prefetches issued per retire (catch-up burst).
-    pub catch_up_burst: u32,
-    /// Cap on how far ahead of the demand stream T2 runs, in bytes —
-    /// large-stride streams would otherwise run hundreds of KB ahead and
-    /// thrash the cache levels they prefetch into.
-    pub max_ahead_bytes: u64,
     /// Key the SIT by `mPC = PC ^ RAS.top` (the paper's call-site
     /// disambiguation) rather than the plain PC. Ablation knob.
     pub use_mpc: bool,
@@ -59,34 +73,23 @@ pub struct TpcConfig {
     /// producers (the paper's Sec. IV-B1 compensation for the
     /// back-to-back producer/consumer pair). Ablation knob.
     pub p1_double_distance: bool,
-    /// Destination for T2/P1 prefetches (L1 in the paper; Figure 16
-    /// compares L2).
-    pub accurate_dest: CacheLevel,
 }
 
 impl Default for TpcConfig {
     fn default() -> Self {
         TpcConfig {
             sit: SitConfig::default(),
-            loop_hw: LoopHardwareConfig::default(),
-            p1: P1Config::default(),
             c1: C1Config::default(),
             issue_t2: true,
             issue_p1: true,
             issue_c1: true,
-            margin: 128,
-            min_distance: 2,
-            max_distance: 256,
-            catch_up_burst: 8,
-            max_ahead_bytes: 16 * 1024,
             use_mpc: true,
             p1_double_distance: true,
-            accurate_dest: CacheLevel::L1,
         }
     }
 }
 
-/// Builder for [`Tpc`] — pick components, destinations, and thresholds.
+/// Builder for [`Tpc`] — pick components and thresholds.
 #[derive(Debug, Clone)]
 pub struct TpcBuilder {
     cfg: TpcConfig,
@@ -133,12 +136,6 @@ impl TpcBuilder {
         self
     }
 
-    /// Send T2/P1 prefetches to this level (Figure 16).
-    pub fn accurate_dest(mut self, dest: CacheLevel) -> Self {
-        self.cfg.accurate_dest = dest;
-        self
-    }
-
     /// Override the display name.
     pub fn name(mut self, name: impl Into<String>) -> Self {
         self.name = Some(name.into());
@@ -160,8 +157,8 @@ impl TpcBuilder {
             });
         Tpc {
             sit: Sit::new(cfg.sit),
-            loop_hw: LoopHardware::new(cfg.loop_hw),
-            p1: P1::new(cfg.p1, crate::origins::P1),
+            loop_hw: LoopHardware::new(),
+            p1: P1::new(crate::origins::P1),
             c1: C1::new(cfg.c1, crate::origins::C1),
             amat: 150 << 4,
             name,
@@ -236,15 +233,15 @@ impl Tpc {
     }
 
     /// Prefetch distance from `d = (AMAT + margin) / T_iter` (Sec. IV-A3),
-    /// clamped to the configured range.
+    /// clamped to `MIN_DISTANCE..=MAX_DISTANCE`.
     pub fn distance(&self) -> u32 {
         let t_iter_q4 = self
             .loop_hw
             .active_loop()
             .map(|l| l.t_iter_q4())
             .unwrap_or(16 << 4);
-        let d = ((self.amat() + self.cfg.margin) << 4) / t_iter_q4;
-        (d as u32).clamp(self.cfg.min_distance, self.cfg.max_distance)
+        let d = ((self.amat() + MARGIN) << 4) / t_iter_q4;
+        (d as u32).clamp(MIN_DISTANCE, MAX_DISTANCE)
     }
 
     fn key_of(&self, ev: &RetireInfo<'_>) -> u64 {
@@ -282,7 +279,7 @@ impl Tpc {
                 if let Some(u) = upd {
                     if u.same >= self.cfg.sit.stride_confirm {
                         self.sit.set_label(pc, InstLabel::Strided);
-                    } else if u.diff >= self.cfg.sit.nonstride_confirm {
+                    } else if u.diff >= NONSTRIDE_CONFIRM {
                         self.sit.set_label(pc, InstLabel::NonStrided);
                         // Keep loads in the SIT — P1 investigates them;
                         // stores are released.
@@ -296,7 +293,7 @@ impl Tpc {
             InstLabel::Strided => {
                 let upd = self.sit.update(key, pc, addr, value);
                 if let Some(u) = upd {
-                    if u.diff >= self.cfg.sit.nonstride_confirm {
+                    if u.diff >= NONSTRIDE_CONFIRM {
                         // The stream broke; fall back to observation.
                         self.sit.set_label(pc, InstLabel::Observation);
                     }
@@ -324,7 +321,7 @@ impl Tpc {
         // about to be overwritten anyway.
         if !ev.inst.is_load() {
             if let Some(e) = self.sit.entry(key) {
-                if e.delta.unsigned_abs() >= 2048 {
+                if e.delta.unsigned_abs() >= LARGE_STRIDE {
                     return;
                 }
             }
@@ -343,7 +340,6 @@ impl Tpc {
             return;
         }
         let mut d = self.distance();
-        let max_ahead = self.cfg.max_ahead_bytes;
         let Some(e) = self.sit.entry_mut(key) else {
             return;
         };
@@ -354,21 +350,16 @@ impl Tpc {
         if aop && self.cfg.p1_double_distance {
             // Doubled distance compensates the back-to-back producer /
             // consumer pair (Sec. IV-B1).
-            d = d.saturating_mul(2).min(self.cfg.max_distance * 2);
+            d = d.saturating_mul(2).min(MAX_DISTANCE * 2);
         }
         // Large-stride streams go to L2: a stride of KBs maps onto only a
         // handful of L1 sets, so running ahead in L1 just thrashes them,
         // while L2's set count absorbs the same footprint comfortably.
         let stride_mag = e.delta.unsigned_abs().max(1);
-        let dest = if stride_mag >= 2048 && self.cfg.accurate_dest == CacheLevel::L1 {
-            CacheLevel::L2
+        let (dest, max_ahead) = if stride_mag >= LARGE_STRIDE {
+            (CacheLevel::L2, 2 * MAX_AHEAD_BYTES)
         } else {
-            self.cfg.accurate_dest
-        };
-        let max_ahead = if dest == CacheLevel::L2 {
-            max_ahead * 2
-        } else {
-            max_ahead
+            (CacheLevel::L1, MAX_AHEAD_BYTES)
         };
         // Byte-distance cap.
         d = d.min(((max_ahead / stride_mag) as u32).max(1));
@@ -377,7 +368,7 @@ impl Tpc {
         let target = addr.wrapping_add((delta as i128 * d as i128) as u64);
         let mut frontier = e.frontier;
         let mut issued = 0;
-        while issued < self.cfg.catch_up_burst {
+        while issued < CATCH_UP_BURST {
             let next = frontier.wrapping_add(delta as u64);
             let beyond = if delta > 0 {
                 next > target
@@ -522,11 +513,36 @@ mod tests {
         }
     }
 
+    fn store(pc: u64, addr: u64) -> RetiredInst {
+        RetiredInst {
+            pc,
+            kind: InstKind::Store { addr },
+            dst: None,
+            srcs: [Some(Reg::R1), Some(Reg::R2)],
+        }
+    }
+
+    /// A loop of `n` iterations whose one load walks a `stride`-byte
+    /// stream from 0x10_0000.
     fn drive_stream(tpc: &mut Tpc, n: u64, stride: u64) -> Vec<PrefetchRequest> {
+        drive_insts(tpc, n, stride, |pc, addr| load(pc, addr, 0))
+    }
+
+    /// [`drive_stream`] with a store in place of the load.
+    fn drive_store_stream(tpc: &mut Tpc, n: u64, stride: u64) -> Vec<PrefetchRequest> {
+        drive_insts(tpc, n, stride, store)
+    }
+
+    fn drive_insts(
+        tpc: &mut Tpc,
+        n: u64,
+        stride: u64,
+        mem: impl Fn(u64, u64) -> RetiredInst,
+    ) -> Vec<PrefetchRequest> {
         let mut out = Vec::new();
         for i in 0..n {
             let now = i * 10;
-            let inst = load(0x100, 0x10_0000 + i * stride, 0);
+            let inst = mem(0x100, 0x10_0000 + i * stride);
             let hit = i > 0 && stride < 64; // same line keeps hitting
             let ev = RetireInfo {
                 now,
@@ -569,6 +585,33 @@ mod tests {
         assert!(addrs.windows(2).all(|w| w[0] < w[1]));
         // Prefetches run ahead of the demand stream.
         assert!(*addrs.last().unwrap() > 0x10_0000 + 63 * 64);
+    }
+
+    #[test]
+    fn t2_destination_follows_stride_and_kind() {
+        // Small-stride load stream: L1.
+        let reqs = drive_stream(&mut Tpc::t2_only(), 64, 64);
+        assert!(!reqs.is_empty());
+        assert!(reqs.iter().all(|r| r.dest == CacheLevel::L1));
+
+        // 4 KB-stride load stream: L2, capped at 2 × 16 KiB / 4096 = 8
+        // strides past the last demand access (the AMAT-based distance
+        // alone would run further).
+        let (n, stride) = (64, 4096);
+        let mut tpc = Tpc::t2_only();
+        let reqs = drive_stream(&mut tpc, n, stride);
+        assert!(tpc.distance() > 8);
+        assert!(!reqs.is_empty());
+        assert!(reqs.iter().all(|r| r.dest == CacheLevel::L2));
+        let last_demand = 0x10_0000 + (n - 1) * stride;
+        let furthest = reqs.iter().map(|r| r.addr).max().unwrap();
+        assert_eq!((furthest - last_demand) / stride, 8);
+
+        // Store streams: a small stride prefetches, a stride of 2 KB or
+        // more issues nothing.
+        assert!(!drive_store_stream(&mut Tpc::t2_only(), 64, 64).is_empty());
+        assert!(drive_store_stream(&mut Tpc::t2_only(), 64, 2048).is_empty());
+        assert!(drive_store_stream(&mut Tpc::t2_only(), 64, 4096).is_empty());
     }
 
     #[test]
@@ -687,6 +730,16 @@ mod tests {
             "Table II: TPC ≈ 4.57 KB, got {tpc_kb:.2}"
         );
         assert!(tpc_kb > t2_kb);
+        // Exact bit counts, so a mistyped table size cannot hide inside
+        // the KB ranges above. T2 = 32-entry SIT (32 × 64) + 8192 labels
+        // × 2 + NLPCT (20 × 32) + loop register and timer (128); P1 =
+        // 48 + 8 × 64 + 64 + 8 Kib; C1 = IM (16 × 40) + RM (16 × 78) +
+        // 8 Kib of decisions.
+        let c1 = TpcBuilder::new().t2(false).p1(false).name("C1").build();
+        assert_eq!(Tpc::t2_only().storage_bits(), 19_200);
+        assert_eq!(Tpc::p1_only().storage_bits(), 8_816);
+        assert_eq!(c1.storage_bits(), 10_080);
+        assert_eq!(Tpc::full().storage_bits(), 19_200 + 8_816 + 10_080);
     }
 
     #[test]

@@ -1,91 +1,8 @@
-//! Event-level analyses beyond the generic metrics crate: line-filtered
-//! accuracy and per-category (LHF/MHF/HHF) credit assignment.
+//! Event-level analyses beyond the generic metrics crate: per-category
+//! (LHF/MHF/HHF) credit assignment and scope.
 
-use dol_mem::{CacheLevel, MemEvent, Origin};
+use dol_mem::{CacheLevel, MemEvent};
 use dol_metrics::{Category, Classifier, EffectiveAccuracy, LineSet};
-
-fn origin_ok(origin: Origin, filter: Option<&[Origin]>) -> bool {
-    match filter {
-        Some(set) => set.contains(&origin),
-        None => true,
-    }
-}
-
-fn line_ok(line: u64, filter: Option<&LineSet>) -> bool {
-    match filter {
-        Some(set) => set.contains(line),
-        None => true,
-    }
-}
-
-/// Effective accuracy at a level, restricted to an origin set *and* a
-/// line set (the paper's Figure 14 looks at prefetcher behaviour inside
-/// the region TPC does not cover).
-pub fn accuracy_within(
-    events: &[MemEvent],
-    level: CacheLevel,
-    origins: Option<&[Origin]>,
-    lines: Option<&LineSet>,
-) -> EffectiveAccuracy {
-    let mut acc = EffectiveAccuracy::default();
-    for e in events {
-        match e {
-            MemEvent::PrefetchIssued {
-                origin, dest, line, ..
-            } if origin_ok(*origin, origins) && *dest <= level && line_ok(*line, lines) => {
-                acc.issued += 1;
-            }
-            MemEvent::PrefetchUseful {
-                level: l,
-                origin,
-                line,
-                ..
-            } if *l == level && origin_ok(*origin, origins) && line_ok(*line, lines) => {
-                acc.useful += 1;
-            }
-            MemEvent::PrefetchUnused {
-                level: l,
-                origin,
-                line,
-                ..
-            } if *l == level && origin_ok(*origin, origins) && line_ok(*line, lines) => {
-                acc.unused += 1;
-            }
-            MemEvent::AvoidedMiss {
-                level: l,
-                origin,
-                line,
-                ..
-            } if *l == level && origin_ok(*origin, origins) && line_ok(*line, lines) => {
-                acc.avoided += 1;
-            }
-            MemEvent::InducedMiss {
-                level: l,
-                blamed,
-                line,
-                ..
-            } => {
-                if *l != level || !line_ok(*line, lines) {
-                    continue;
-                }
-                if blamed.is_empty() {
-                    if origins.is_none() {
-                        acc.induced += 1.0;
-                    }
-                } else {
-                    let share = 1.0 / blamed.len() as f64;
-                    for o in blamed {
-                        if origin_ok(*o, origins) {
-                            acc.induced += share;
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    acc
-}
 
 /// Per-category accuracy (the paper's Figure 13): every prefetch (and
 /// credit/debit) is bucketed by the *target line's* offline category.
@@ -166,38 +83,8 @@ pub fn scope_by_category(
 mod tests {
     use super::*;
     use dol_isa::{InstKind, Reg, RetiredInst, Trace};
+    use dol_mem::Origin;
     use dol_metrics::classify_trace;
-
-    #[test]
-    fn line_filter_restricts_accuracy() {
-        let events = vec![
-            MemEvent::PrefetchIssued {
-                core: 0,
-                line: 1,
-                origin: Origin(5),
-                dest: CacheLevel::L1,
-            },
-            MemEvent::PrefetchIssued {
-                core: 0,
-                line: 2,
-                origin: Origin(5),
-                dest: CacheLevel::L1,
-            },
-            MemEvent::AvoidedMiss {
-                core: 0,
-                level: CacheLevel::L1,
-                line: 1,
-                origin: Origin(5),
-            },
-        ];
-        let only1: LineSet = [1u64].into_iter().collect();
-        let a = accuracy_within(&events, CacheLevel::L1, None, Some(&only1));
-        assert_eq!(a.issued, 1);
-        assert_eq!(a.effective_accuracy(), 1.0);
-        let all = accuracy_within(&events, CacheLevel::L1, None, None);
-        assert_eq!(all.issued, 2);
-        assert_eq!(all.effective_accuracy(), 0.5);
-    }
 
     #[test]
     fn category_buckets_split_events() {

@@ -213,7 +213,6 @@ pub fn p1_doubling(plan: &RunPlan) -> Report {
 /// ownership — against the equivalent five-way shunt.
 pub fn multi_extra(plan: &RunPlan) -> Report {
     use crate::prefetchers::{extra_origin, EXTRA_SET};
-    use dol_mem::CacheLevel;
 
     let sys = single_core();
     let specs = plan.cap_suite(dol_workloads::spec21());
@@ -229,7 +228,7 @@ pub fn multi_extra(plan: &RunPlan) -> Report {
                 .enumerate()
                 .map(|(i, name)| {
                     let origin = extra_origin(i);
-                    let p = monolithic_by_name(name, origin, CacheLevel::L1).expect("known extra");
+                    let p = monolithic_by_name(name, origin).expect("known extra");
                     (origin, p)
                 })
                 .collect();
@@ -239,9 +238,7 @@ pub fn multi_extra(plan: &RunPlan) -> Report {
         let sh = {
             let mut members: Vec<Box<dyn Prefetcher>> = vec![Box::new(Tpc::full())];
             for (i, name) in EXTRA_SET.iter().enumerate() {
-                members.push(
-                    monolithic_by_name(name, extra_origin(i), CacheLevel::L1).expect("known extra"),
-                );
+                members.push(monolithic_by_name(name, extra_origin(i)).expect("known extra"));
             }
             let mut s = Shunt::new(members);
             sys.run(&base.workload, &mut s).cycles

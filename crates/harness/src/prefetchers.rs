@@ -5,7 +5,7 @@ use dol_core::{
     origins, CompletedPrefetch, Composite, NoPrefetcher, PrefetchRequest, Prefetcher, RetireInfo,
     Shunt, Tpc, TpcBuilder,
 };
-use dol_mem::{CacheLevel, Origin};
+use dol_mem::Origin;
 
 /// The comparison set of the paper's Figure 8: seven monolithic designs
 /// plus TPC (all monolithics prefetch into L1, per the paper's
@@ -140,7 +140,7 @@ pub fn build(name: &str) -> Option<Built> {
         )),
         _ => {
             if let Some(rest) = name.strip_prefix("TPC+") {
-                let extra = monolithic_by_name(rest, extra_origin(0), CacheLevel::L1)?;
+                let extra = monolithic_by_name(rest, extra_origin(0))?;
                 return Some(Built::Composite(Composite::with_extra(
                     Tpc::full(),
                     extra_origin(0),
@@ -148,14 +148,14 @@ pub fn build(name: &str) -> Option<Built> {
                 )));
             }
             if let Some(rest) = name.strip_prefix("TPC|") {
-                let extra = monolithic_by_name(rest, extra_origin(0), CacheLevel::L1)?;
+                let extra = monolithic_by_name(rest, extra_origin(0))?;
                 return Some(Built::Shunt(Shunt::new(vec![Box::new(Tpc::full()), extra])));
             }
             let idx = MONOLITHIC_NAMES.iter().position(|n| *n == name);
             let origin = idx
                 .map(monolithic_origin)
                 .unwrap_or(Origin(origins::MONOLITHIC_BASE));
-            monolithic_by_name(name, origin, CacheLevel::L1).map(Built::Mono)
+            monolithic_by_name(name, origin).map(Built::Mono)
         }
     }
 }

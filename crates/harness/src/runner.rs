@@ -6,8 +6,8 @@
 //!
 //! Each simulation builds its working set fresh and drops it when it
 //! returns. Captures, per-config runs and classifications are memoized
-//! across runs in the [`memo`](crate::memo) tables (see that module for
-//! the keys and bounds); [`clear_run_caches`] empties them.
+//! across runs in the `memo` tables (see that module for the keys and
+//! bounds); [`clear_run_caches`] empties them.
 
 use std::sync::Arc;
 

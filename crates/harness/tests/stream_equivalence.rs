@@ -10,7 +10,7 @@
 //! approximately equal.
 
 use dol_core::origins;
-use dol_harness::analysis::{accuracy_by_category, accuracy_within, scope_by_category};
+use dol_harness::analysis::{accuracy_by_category, scope_by_category};
 use dol_harness::runner::single_core;
 use dol_harness::RunPlan;
 use dol_mem::{CacheLevel, CollectSink, MemEvent, Origin};
@@ -83,6 +83,11 @@ fn check_app(app: &str) {
     sys.run_with_sink(&workload, &mut p1, &mut sink);
     sys.run_with_sink(&workload, &mut p2, &mut sm);
     let events: &[MemEvent] = &sink.events;
+    let region_events: Vec<MemEvent> = events
+        .iter()
+        .filter(|e| region.contains(e.line()))
+        .cloned()
+        .collect();
 
     // Whole-prefetcher and single-origin accuracy at every level.
     let filters: [Option<&[Origin]>; 4] = [
@@ -99,7 +104,7 @@ fn check_app(app: &str) {
                 &format!("{app}: accuracy_at {level:?} {f:?}"),
             );
             assert_acc_bits(
-                &accuracy_within(events, level, f, Some(&region)),
+                &accuracy_at(&region_events, level, f),
                 &sm.accuracy_in_region(level, f),
                 &format!("{app}: region accuracy {level:?} {f:?}"),
             );

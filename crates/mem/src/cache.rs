@@ -1,6 +1,6 @@
 //! Set-associative cache with prefetch metadata.
 
-use crate::{CacheConfig, Origin, ReplacementPolicy};
+use crate::{CacheConfig, Origin};
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Line {
@@ -58,9 +58,6 @@ pub struct EvictInfo {
 /// [`crate::LINE_SHIFT`], so they never reach `u64::MAX`.
 const NO_TAG: u64 = u64::MAX;
 
-/// Replacement-state seed for the deterministic xorshift64* stream.
-const RNG_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
-
 /// Compares all `W` tags of a set against `line` in one pass, building a
 /// hit bitmask, then extracts the matching way with `trailing_zeros`.
 /// Equivalent to `iter().position(..)` because tags within a set are
@@ -103,10 +100,10 @@ fn scan_dyn(tags: &[u64], line: u64) -> Option<usize> {
 /// useful/useless prefetch and pollution accounting.
 ///
 /// Lookups scan a packed parallel tag array (`tags`) instead of the
-/// 24-byte [`Line`] records: a set's tags share one cache line of host
+/// 24-byte `Line` records: a set's tags share one cache line of host
 /// memory, and the common miss case never touches line metadata at all.
 /// `tags` is also the one record of validity and identity: `tags[i]` is
-/// [`NO_TAG`] exactly when way `i` is invalid, and the line address it
+/// `NO_TAG` exactly when way `i` is invalid, and the line address it
 /// holds otherwise.
 #[derive(Debug, Clone)]
 pub struct Cache {
@@ -114,10 +111,9 @@ pub struct Cache {
     set_mask: u64,
     ways: usize,
     lines: Vec<Line>,
-    /// Packed tags, parallel to `lines` ([`NO_TAG`] when invalid).
+    /// Packed tags, parallel to `lines` (`NO_TAG` when invalid).
     tags: Vec<u64>,
     clock: u64,
-    rng: u64,
 }
 
 impl Cache {
@@ -131,7 +127,6 @@ impl Cache {
             lines: vec![Line::default(); (sets * cfg.ways as u64) as usize],
             tags: vec![NO_TAG; (sets * cfg.ways as u64) as usize],
             clock: 0,
-            rng: RNG_SEED,
         }
     }
 
@@ -187,9 +182,7 @@ impl Cache {
         if is_write {
             l.dirty = true;
         }
-        if self.cfg.replacement != ReplacementPolicy::Fifo {
-            l.stamp = stamp;
-        }
+        l.stamp = stamp;
         LookupOutcome::Hit {
             prefetched_by: l.prefetch,
             first_use,
@@ -304,23 +297,13 @@ impl Cache {
         if let Some(i) = self.tags[range.clone()].iter().position(|&t| t == NO_TAG) {
             return range.start + i;
         }
-        match self.cfg.replacement {
-            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
-                let (i, _) = self.lines[range.clone()]
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, l)| l.stamp)
-                    .expect("non-empty set");
-                range.start + i
-            }
-            ReplacementPolicy::Random => {
-                // xorshift64*
-                self.rng ^= self.rng << 13;
-                self.rng ^= self.rng >> 7;
-                self.rng ^= self.rng << 17;
-                range.start + (self.rng % self.ways as u64) as usize
-            }
-        }
+        // Then the least recently used.
+        let (i, _) = self.lines[range.clone()]
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, l)| l.stamp)
+            .expect("non-empty set");
+        range.start + i
     }
 
     /// Origins of prefetched lines currently resident in `line`'s set —
@@ -352,19 +335,19 @@ impl Cache {
 mod tests {
     use super::*;
 
-    fn tiny(replacement: ReplacementPolicy) -> Cache {
+    /// Four lines, two ways: two sets.
+    fn tiny() -> Cache {
         Cache::new(CacheConfig {
-            size_bytes: 4 * 64, // 1 set? no: 4 lines. With 2 ways -> 2 sets.
+            size_bytes: 4 * 64,
             ways: 2,
             latency: 1,
             mshrs: 4,
-            replacement,
         })
     }
 
     #[test]
     fn hit_after_fill_miss_before() {
-        let mut c = tiny(ReplacementPolicy::Lru);
+        let mut c = tiny();
         assert_eq!(c.demand_access(10, 0, false), LookupOutcome::Miss);
         assert!(c.fill(10, 5, None, false).is_none());
         match c.demand_access(10, 6, false) {
@@ -383,7 +366,7 @@ mod tests {
 
     #[test]
     fn hit_under_fill_reports_future_ready() {
-        let mut c = tiny(ReplacementPolicy::Lru);
+        let mut c = tiny();
         c.fill(10, 100, None, false);
         match c.demand_access(10, 50, false) {
             LookupOutcome::Hit { ready_at, .. } => assert_eq!(ready_at, 100),
@@ -393,7 +376,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recent() {
-        let mut c = tiny(ReplacementPolicy::Lru);
+        let mut c = tiny();
         // Lines 0, 2, 4 map to set 0 (2 sets).
         c.fill(0, 0, None, false);
         c.fill(2, 0, None, false);
@@ -404,18 +387,8 @@ mod tests {
     }
 
     #[test]
-    fn fifo_ignores_touches() {
-        let mut c = tiny(ReplacementPolicy::Fifo);
-        c.fill(0, 0, None, false);
-        c.fill(2, 0, None, false);
-        c.demand_access(0, 1, false); // must not save line 0
-        let ev = c.fill(4, 2, None, false).expect("eviction");
-        assert_eq!(ev.line, 0);
-    }
-
-    #[test]
     fn unused_prefetch_reported_on_eviction() {
-        let mut c = tiny(ReplacementPolicy::Lru);
+        let mut c = tiny();
         c.fill(0, 0, Some(Origin(7)), false);
         c.fill(2, 0, None, false);
         let ev = c.fill(4, 1, None, false).expect("eviction");
@@ -425,7 +398,7 @@ mod tests {
 
     #[test]
     fn used_prefetch_not_reported_unused() {
-        let mut c = tiny(ReplacementPolicy::Lru);
+        let mut c = tiny();
         c.fill(0, 0, Some(Origin(7)), false);
         match c.demand_access(0, 1, false) {
             LookupOutcome::Hit {
@@ -458,7 +431,7 @@ mod tests {
 
     #[test]
     fn dirty_writeback_flag() {
-        let mut c = tiny(ReplacementPolicy::Lru);
+        let mut c = tiny();
         c.fill(0, 0, None, false);
         c.demand_access(0, 1, true);
         c.fill(2, 2, None, false);
@@ -469,7 +442,7 @@ mod tests {
 
     #[test]
     fn refill_refreshes_instead_of_duplicating() {
-        let mut c = tiny(ReplacementPolicy::Lru);
+        let mut c = tiny();
         c.fill(0, 10, None, false);
         assert!(c.fill(0, 5, None, true).is_none());
         assert_eq!(c.valid_lines(), 1);
@@ -481,7 +454,7 @@ mod tests {
 
     #[test]
     fn blame_list_collects_prefetched_lines() {
-        let mut c = tiny(ReplacementPolicy::Lru);
+        let mut c = tiny();
         c.fill(0, 0, Some(Origin(1)), false);
         c.fill(2, 0, Some(Origin(2)), false);
         let mut blamed = c.prefetch_origins_in_set(4);
@@ -492,7 +465,7 @@ mod tests {
 
     #[test]
     fn invalidate_removes() {
-        let mut c = tiny(ReplacementPolicy::Lru);
+        let mut c = tiny();
         c.fill(0, 0, None, false);
         c.demand_access(0, 1, true);
         assert_eq!(c.invalidate(0), Some(true));
@@ -502,29 +475,17 @@ mod tests {
 
     #[test]
     fn fill_owned_attributes_victims_to_their_filler() {
-        let mut c = tiny(ReplacementPolicy::Lru);
+        let mut c = tiny();
         c.fill_owned(0, 0, Some(Origin(7)), false, 2);
         c.fill_owned(2, 0, None, false, 1);
         let ev = c.fill_owned(4, 1, None, false, 3).expect("eviction");
         assert_eq!((ev.line, ev.owner), (0, 2));
         assert_eq!(ev.unused_prefetch, Some(Origin(7)));
         // The plain fill path reports an all-zero owner.
-        let mut p = tiny(ReplacementPolicy::Lru);
+        let mut p = tiny();
         p.fill(0, 0, None, false);
         p.fill(2, 0, None, false);
         let ev = p.fill(4, 1, None, false).expect("eviction");
         assert_eq!(ev.owner, 0);
-    }
-
-    #[test]
-    fn random_replacement_is_deterministic() {
-        let mut a = tiny(ReplacementPolicy::Random);
-        let mut b = tiny(ReplacementPolicy::Random);
-        for i in 0..100u64 {
-            let line = i * 2; // all in set 0
-            let ea = a.fill(line, i, None, false);
-            let eb = b.fill(line, i, None, false);
-            assert_eq!(ea, eb);
-        }
     }
 }

@@ -3,19 +3,8 @@
 use crate::dram::DropPolicy;
 use crate::LINE_BYTES;
 
-/// Cache replacement policies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ReplacementPolicy {
-    /// Least-recently-used (the paper's configuration for all levels).
-    #[default]
-    Lru,
-    /// First-in first-out.
-    Fifo,
-    /// Pseudo-random (xorshift over a per-cache seed); deterministic.
-    Random,
-}
-
-/// Geometry and timing of one cache.
+/// Geometry and timing of one cache. Every cache uses LRU replacement,
+/// the paper's configuration for all levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
@@ -26,8 +15,6 @@ pub struct CacheConfig {
     pub latency: u64,
     /// Number of miss-status holding registers.
     pub mshrs: u32,
-    /// Replacement policy.
-    pub replacement: ReplacementPolicy,
 }
 
 impl CacheConfig {
@@ -58,7 +45,6 @@ impl CacheConfig {
             ways: 4,
             latency: 3,
             mshrs: 32,
-            replacement: ReplacementPolicy::Lru,
         }
     }
 
@@ -69,7 +55,6 @@ impl CacheConfig {
             ways: 8,
             latency: 9,
             mshrs: 32,
-            replacement: ReplacementPolicy::Lru,
         }
     }
 
@@ -80,7 +65,6 @@ impl CacheConfig {
             ways: 16,
             latency: 36,
             mshrs: 64,
-            replacement: ReplacementPolicy::Lru,
         }
     }
 }
@@ -162,21 +146,18 @@ impl HierarchyConfig {
                 ways: 4,
                 latency: 3,
                 mshrs: 8,
-                replacement: ReplacementPolicy::Lru,
             },
             l2: CacheConfig {
                 size_bytes: 16 * 1024,
                 ways: 8,
                 latency: 9,
                 mshrs: 8,
-                replacement: ReplacementPolicy::Lru,
             },
             l3: CacheConfig {
                 size_bytes: 64 * 1024,
                 ways: 16,
                 latency: 36,
                 mshrs: 16,
-                replacement: ReplacementPolicy::Lru,
             },
             dram: DramConfig::isca2018(),
         }
@@ -203,7 +184,6 @@ mod tests {
             ways: 4,
             latency: 1,
             mshrs: 4,
-            replacement: ReplacementPolicy::Lru,
         }
         .sets();
     }

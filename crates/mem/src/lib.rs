@@ -5,8 +5,8 @@
 //! The paper evaluates prefetchers inside gem5's memory system; this crate
 //! is a from-scratch replacement providing every interface the study needs:
 //!
-//! * [`Cache`] — set-associative caches with LRU/FIFO/random replacement and
-//!   per-line prefetch metadata (which component brought the line in, and
+//! * [`Cache`] — set-associative LRU caches with per-line prefetch
+//!   metadata (which component brought the line in, and
 //!   whether a demand access has used it yet),
 //! * [`MshrFile`] — miss-status holding registers with secondary-miss
 //!   merging (secondary misses are excluded from all metrics, matching the
@@ -43,7 +43,7 @@ mod mshr;
 mod shadow;
 
 pub use cache::{Cache, EvictInfo, LookupOutcome};
-pub use config::{CacheConfig, DramConfig, HierarchyConfig, ReplacementPolicy};
+pub use config::{CacheConfig, DramConfig, HierarchyConfig};
 pub use dram::{Dram, DramRequest, DramStats, DropPolicy, LOW_CONFIDENCE};
 pub use events::{CollectSink, DropReason, EventSink, MemEvent, NullSink, Origin};
 pub use hierarchy::{DemandOutcome, MemorySystem, PrefetchOutcome, SharedStats, SystemStats};

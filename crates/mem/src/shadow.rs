@@ -1,6 +1,6 @@
 //! Alternative-reality tag arrays for pollution accounting.
 
-use crate::{CacheConfig, ReplacementPolicy};
+use crate::CacheConfig;
 
 /// Sentinel marking an empty way. Unreachable as a real tag (line
 /// addresses are byte addresses right-shifted by [`crate::LINE_SHIFT`]).
@@ -21,12 +21,12 @@ const NO_TAG: u64 = u64::MAX;
 /// Storage is structure-of-arrays: a packed tag vector scanned on every
 /// access (one host cache line per set) and a parallel stamp vector
 /// touched only on the hit/install way. Validity is encoded in-band:
-/// [`NO_TAG`] in `tags`, stamp 0 in `stamps` (real stamps start at 1).
+/// `NO_TAG` in `tags`, stamp 0 in `stamps` (real stamps start at 1).
 #[derive(Debug, Clone)]
 pub struct ShadowTags {
     set_mask: u64,
     ways: usize,
-    /// Packed tags per way ([`NO_TAG`] when the way is empty).
+    /// Packed tags per way (`NO_TAG` when the way is empty).
     tags: Vec<u64>,
     /// LRU stamps parallel to `tags` (0 when the way is empty).
     stamps: Vec<u64>,
@@ -34,14 +34,9 @@ pub struct ShadowTags {
 }
 
 impl ShadowTags {
-    /// Builds shadow tags with the same geometry as `cfg`. LRU is always
-    /// used (the paper's baseline replacement).
+    /// Builds shadow tags with the same geometry as `cfg`, replaced LRU
+    /// like the real cache.
     pub fn new(cfg: &CacheConfig) -> Self {
-        debug_assert_eq!(
-            cfg.replacement,
-            ReplacementPolicy::Lru,
-            "shadow accounting is defined against the paper's LRU baseline"
-        );
         let sets = cfg.sets();
         ShadowTags {
             set_mask: sets - 1,
@@ -107,7 +102,6 @@ mod tests {
             ways: 2,
             latency: 1,
             mshrs: 4,
-            replacement: ReplacementPolicy::Lru,
         }
     }
 

@@ -6,7 +6,7 @@ use dol_isa::DetHashSet;
 use dol_mem::{
     Cache, CacheConfig, CacheLevel, CollectSink, Dram, DramConfig, DramRequest, DramStats,
     DropPolicy, HierarchyConfig, LineSet, LookupOutcome, MemorySystem, MshrFile, MshrStats,
-    NullSink, Origin, ReplacementPolicy, ShadowTags, LINE_BYTES, LOW_CONFIDENCE,
+    NullSink, Origin, ShadowTags, LINE_BYTES, LOW_CONFIDENCE,
 };
 use proptest::prelude::*;
 
@@ -16,7 +16,6 @@ fn small_cache_cfg() -> CacheConfig {
         ways: 4,
         latency: 1,
         mshrs: 4,
-        replacement: ReplacementPolicy::Lru,
     }
 }
 

@@ -388,7 +388,8 @@ impl StreamingMetrics {
 
     /// Accounting restricted to the region configured with
     /// [`with_region`](Self::with_region) — the streaming equivalent of
-    /// the harness's line-filtered accounting.
+    /// [`accuracy_at`](crate::accuracy_at) over the events whose line is
+    /// in the region.
     ///
     /// # Panics
     ///

@@ -30,11 +30,11 @@
 //!
 //! Instruction frames are self-contained: the PC/address delta state
 //! resets at each frame boundary, so a frame can be decoded knowing only
-//! its own bytes. Within a frame each [`RetiredInst`] is one opcode byte
-//! (kind + operand-presence bits), a zigzag-varint PC delta, optional
-//! register bytes, and a kind-specific payload with memory addresses
-//! delta-encoded against the previous memory access and control targets
-//! delta-encoded against the instruction's own PC. On the bundled
+//! its own bytes. Within a frame each [`dol_isa::RetiredInst`] is one
+//! opcode byte (kind + operand-presence bits), a zigzag-varint PC delta,
+//! optional register bytes, and a kind-specific payload with memory
+//! addresses delta-encoded against the previous memory access and control
+//! targets delta-encoded against the instruction's own PC. On the bundled
 //! kernels instruction frames take 5–10 bytes per instruction.
 //!
 //! Memory frames carry up to [`PAGES_PER_FRAME`] 4 KiB pages, addresses

@@ -10,7 +10,7 @@
 use dol_baselines::Sms;
 use dol_core::{origins, Composite, NoPrefetcher, Prefetcher, Shunt, Tpc};
 use dol_cpu::{System, SystemConfig, Workload};
-use dol_mem::{CacheLevel, Origin};
+use dol_mem::Origin;
 
 fn run(workload: &Workload, sys: &System, p: &mut dyn Prefetcher) -> u64 {
     sys.run(workload, p).cycles
@@ -30,16 +30,13 @@ fn main() {
         let base = run(&workload, &sys, &mut NoPrefetcher);
         let tpc = run(&workload, &sys, &mut Tpc::full());
 
-        let mut composite = Composite::with_extra(
-            Tpc::full(),
-            extra_origin,
-            Box::new(Sms::new(extra_origin, CacheLevel::L1)),
-        );
+        let mut composite =
+            Composite::with_extra(Tpc::full(), extra_origin, Box::new(Sms::new(extra_origin)));
         let comp = run(&workload, &sys, &mut composite);
 
         let mut shunt = Shunt::new(vec![
             Box::new(Tpc::full()) as Box<dyn Prefetcher>,
-            Box::new(Sms::new(extra_origin, CacheLevel::L1)),
+            Box::new(Sms::new(extra_origin)),
         ]);
         let sh = run(&workload, &sys, &mut shunt);
 

@@ -32,7 +32,7 @@ fn stream_gap() {
     }
     let runs: Vec<(&str, Box<dyn Prefetcher>)> = vec![
         ("T2", Box::new(Tpc::t2_only())),
-        ("FDP", Box::new(Fdp::new(Origin(20), CacheLevel::L1))),
+        ("FDP", Box::new(Fdp::new(Origin(20)))),
     ];
     for (name, mut p) in runs {
         let mut sink = CollectSink::new();
