@@ -1,5 +1,6 @@
 //! The trace-driven system driver.
 
+use std::borrow::Borrow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -269,20 +270,30 @@ impl System {
     /// The array sizes tie core count to the type system. A concrete `P`
     /// (one design, or the harness's `Built` enum) keeps static dispatch
     /// on the hot per-retire edge; `[Box<dyn Prefetcher>; N]` runs
-    /// heterogeneous boxed designs.
+    /// heterogeneous boxed designs. The workloads are owned or borrowed
+    /// (`[&Workload; N]`), so a co-run of captured workloads needs no
+    /// copy of their traces and memory images.
     ///
     /// # Panics
     ///
     /// Panics if `N` exceeds the configured core count.
-    pub fn run_corun<const N: usize, P: Prefetcher, S: EventSink + ?Sized>(
+    pub fn run_corun<const N: usize, W, P, S>(
         &self,
-        workloads: &[Workload; N],
+        workloads: &[W; N],
         prefetchers: &mut [P; N],
         sink: &mut S,
-    ) -> MultiRunResult {
+    ) -> MultiRunResult
+    where
+        W: Borrow<Workload>,
+        P: Prefetcher,
+        S: EventSink + ?Sized,
+    {
         let sources: Vec<(TraceCursor<'_>, &SparseMemory)> = workloads
             .iter()
-            .map(|w| (TraceCursor::new(w.trace.as_slice()), &w.memory))
+            .map(|w| {
+                let w = w.borrow();
+                (TraceCursor::new(w.trace.as_slice()), &w.memory)
+            })
             .collect();
         let mut refs: Vec<&mut P> = prefetchers.iter_mut().collect();
         let (result, _) = self.run_inner(sources, &mut refs, sink);

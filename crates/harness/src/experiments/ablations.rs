@@ -21,7 +21,7 @@ pub fn drop_policy(plan: &RunPlan) -> Report {
     let mixes = mixes(plan.mix_count, plan.seed);
     let ratios: Vec<f64> = crate::sweep::map(plan.jobs, &mixes, |mix| {
         let bases: [_; 4] = std::array::from_fn(|i| BaselineRun::capture(&mix.members[i], plan));
-        let members = std::array::from_fn(|i| bases[i].workload.clone());
+        let members: [_; 4] = std::array::from_fn(|i| &bases[i].workload);
         let alone: Vec<f64> = bases.iter().map(|b| b.result.ipc()).collect();
         let ws_with = |policy: DropPolicy| -> f64 {
             let mut cfg = SystemConfig::isca2018(4);

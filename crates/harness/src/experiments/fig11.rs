@@ -54,7 +54,7 @@ fn mix_speedups(plan: &RunPlan) -> Vec<f64> {
     .collect();
 
     let per_mix: Vec<Vec<f64>> = crate::sweep::map(plan.jobs, &mixes, |mix| {
-        let members = std::array::from_fn(|i| captured[mix.members[i].name].workload.clone());
+        let members: [_; 4] = std::array::from_fn(|i| &captured[mix.members[i].name].workload);
         let alone: Vec<f64> = mix
             .members
             .iter()

@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dol_cpu::{MultiRunResult, System, SystemConfig, Workload};
-use dol_mem::CacheLevel;
+use dol_mem::{CacheLevel, NullSink};
 use dol_metrics::{geomean, weighted_speedup, StreamingMetrics, TextTable};
 
 use crate::bands::Expectation;
@@ -90,14 +90,15 @@ struct CoRun {
     metrics: StreamingMetrics,
 }
 
-fn corun(sys4: &System, members: &[Workload; 4], configs: &[&str; 4]) -> CoRun {
-    let mut ps: Vec<prefetchers::Built> = configs
-        .iter()
+/// One prefetcher per core, built from its config name.
+fn build_plan(configs: &[&str; 4]) -> [prefetchers::Built; 4] {
+    configs
         .map(|c| prefetchers::build(c).unwrap_or_else(|| panic!("unknown prefetcher config {c}")))
-        .collect();
-    let ps: &mut [prefetchers::Built; 4] = (&mut ps[..]).try_into().expect("4 cores");
+}
+
+fn corun(sys4: &System, members: &[&Workload; 4], configs: &[&str; 4]) -> CoRun {
     let mut metrics = StreamingMetrics::new();
-    let result = sys4.run_corun(members, ps, &mut metrics);
+    let result = sys4.run_corun(members, &mut build_plan(configs), &mut metrics);
     CoRun { result, metrics }
 }
 
@@ -125,18 +126,17 @@ fn run_scenario(
     sys4: &System,
     sc: &Scenario,
     captured: &HashMap<String, Arc<BaselineRun>>,
-    none_runs: &HashMap<[&'static str; 4], Arc<CoRun>>,
+    none_ipcs: &HashMap<[&'static str; 4], Vec<f64>>,
 ) -> ScenarioRow {
-    let members: [Workload; 4] = sc.members.map(|m| captured[m].workload.clone());
+    let members: [&Workload; 4] = sc.members.map(|m| &captured[m].workload);
     let alone: Vec<f64> = sc
         .members
         .iter()
         .map(|m| captured[*m].result.ipc())
         .collect();
 
-    let none = &none_runs[&sc.members];
     let plan = corun(sys4, &members, &sc.configs);
-    let ws_none = weighted_speedup(&none.result.ipcs(), &alone);
+    let ws_none = weighted_speedup(&none_ipcs[&sc.members], &alone);
     let ws_plan = weighted_speedup(&plan.result.ipcs(), &alone);
 
     let shared = &plan.result.stats.shared;
@@ -193,23 +193,25 @@ pub fn run(plan: &RunPlan) -> Report {
     // The no-prefetch reference co-run depends only on the member set,
     // and scenarios share member sets on purpose (the two `mixed/*`
     // scenarios contrast plans over identical co-runners) — run each
-    // distinct reference exactly once and share it.
+    // distinct reference exactly once and share it. Only its IPCs are
+    // read, so it streams into `NullSink`.
     let mut member_sets: Vec<[&'static str; 4]> = Vec::new();
     for sc in &scenarios {
         if !member_sets.contains(&sc.members) {
             member_sets.push(sc.members);
         }
     }
-    let none_runs: HashMap<[&'static str; 4], Arc<CoRun>> =
+    let none_ipcs: HashMap<[&'static str; 4], Vec<f64>> =
         crate::sweep::map(plan.jobs, &member_sets, |set| {
-            let members: [Workload; 4] = set.map(|m| captured[m].workload.clone());
-            (*set, Arc::new(corun(&sys4, &members, &["none"; 4])))
+            let members: [&Workload; 4] = set.map(|m| &captured[m].workload);
+            let none = sys4.run_corun(&members, &mut build_plan(&["none"; 4]), &mut NullSink);
+            (*set, none.ipcs())
         })
         .into_iter()
         .collect();
 
     let rows: Vec<ScenarioRow> = crate::sweep::map(plan.jobs, &scenarios, |sc| {
-        run_scenario(&sys4, sc, &captured, &none_runs)
+        run_scenario(&sys4, sc, &captured, &none_ipcs)
     });
 
     let mut t = TextTable::new(

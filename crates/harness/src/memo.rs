@@ -26,6 +26,8 @@ use crate::runner::{AppRun, BaselineRun};
 /// `(workload name, insts, seed)` — everything a capture depends on.
 /// Every capture runs on the canonical single-core system of
 /// [`crate::runner::single_core`], so the system is not part of the key.
+/// A capture's offline classification depends on nothing else either,
+/// so the classifier table shares this key.
 pub(crate) type CaptureKey = (String, u64, u64);
 
 /// `(config, system fingerprint, workload name, insts, seed)` —
@@ -35,10 +37,6 @@ pub(crate) type CaptureKey = (String, u64, u64);
 /// oracle-stratified runs bypass the table, since their system's
 /// rendering would carry the whole LHF line set.
 pub(crate) type AppRunKey = (String, String, String, u64, u64);
-
-/// `(trace length, trace content hash)`; the length guards against hash
-/// collisions.
-pub(crate) type ClassifierKey = (usize, u64);
 
 /// Instructions the capture table holds at most.
 const CAPTURE_INSTS: u64 = 6_000_000;
@@ -53,7 +51,7 @@ pub(crate) static APP_RUNS: Memo<AppRunKey, AppRun> = Memo::new(4 * CAPTURE_INST
 
 /// Offline classifications, one unit of weight each; 64 entries hold the
 /// whole workload suite.
-pub(crate) static CLASSIFIERS: Memo<ClassifierKey, Classifier> = Memo::new(64);
+pub(crate) static CLASSIFIERS: Memo<CaptureKey, Classifier> = Memo::new(64);
 
 /// Empties every table, so the next run re-simulates everything.
 pub(crate) fn clear() {
@@ -221,17 +219,13 @@ mod tests {
         AppRun::run(&base, "T2", &sys);
         let capture_key = base.key.clone();
         let run_key = AppRun::key(&base, "T2", &sys);
-        let classifier_key = (
-            base.workload.trace.len(),
-            base.workload.trace.content_hash(),
-        );
         assert!(CAPTURES.contains(&capture_key));
         assert!(APP_RUNS.contains(&run_key));
-        assert!(CLASSIFIERS.contains(&classifier_key));
+        assert!(CLASSIFIERS.contains(&capture_key));
 
         clear();
         assert!(!CAPTURES.contains(&capture_key));
         assert!(!APP_RUNS.contains(&run_key));
-        assert!(!CLASSIFIERS.contains(&classifier_key));
+        assert!(!CLASSIFIERS.contains(&capture_key));
     }
 }

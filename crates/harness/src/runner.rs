@@ -12,7 +12,6 @@
 use std::sync::Arc;
 
 use dol_cpu::{RunResult, System, SystemConfig, Workload};
-use dol_isa::Trace;
 use dol_mem::CacheLevel;
 use dol_metrics::{classify_trace, Classifier, Footprint, FootprintSink, StreamingMetrics};
 use dol_workloads::Spec;
@@ -20,13 +19,6 @@ use dol_workloads::Spec;
 use crate::memo::{self, AppRunKey, CaptureKey};
 use crate::plan::RunPlan;
 use crate::prefetchers;
-
-/// Classifies `trace`, reusing a memoized result when a bit-identical
-/// trace was classified before.
-pub fn classify_cached(trace: &Trace) -> Arc<Classifier> {
-    let key = (trace.len(), trace.content_hash());
-    memo::CLASSIFIERS.get_or_compute(key, 1, || classify_trace(trace))
-}
 
 /// A captured workload with its baseline (no-prefetch) run and offline
 /// analysis artifacts.
@@ -81,7 +73,10 @@ impl BaselineRun {
         let mut none = dol_core::NoPrefetcher;
         let mut fp = FootprintSink::new(CacheLevel::L1);
         let result = single_core().run_with_sink(&workload, &mut none, &mut fp);
-        let classifier = classify_cached(&workload.trace);
+        // Keyed like the capture, so a classifier outlives its capture's
+        // eviction from the (much smaller) capture table.
+        let classifier =
+            memo::CLASSIFIERS.get_or_compute(key.clone(), 1, || classify_trace(&workload.trace));
         let mpki = result.stats.cores[0].l1_misses as f64 * 1000.0 / result.instructions as f64;
         BaselineRun {
             name: spec.name.to_string(),

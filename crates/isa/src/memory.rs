@@ -123,11 +123,31 @@ impl SparseMemory {
         self.pages[slot as usize][word] = value;
     }
 
+    /// Writes `f(i)` to word `i` of the `n` contiguous words starting at
+    /// `addr`, with one page lookup per page rather than per word.
+    ///
+    /// `f` is called exactly once per word, in index order, so a stateful
+    /// `f` (an RNG draw) produces the same image as a [`write_u64`] loop.
+    ///
+    /// [`write_u64`]: SparseMemory::write_u64
+    pub fn fill_words(&mut self, addr: u64, n: usize, mut f: impl FnMut(usize) -> u64) {
+        let (mut page, mut word) = Self::split(addr);
+        let mut i = 0;
+        while i < n {
+            let slot = self.ensure_page(page);
+            let take = (WORDS_PER_PAGE - word).min(n - i);
+            for w in &mut self.pages[slot as usize][word..word + take] {
+                *w = f(i);
+                i += 1;
+            }
+            page += 1;
+            word = 0;
+        }
+    }
+
     /// Writes a contiguous slice of words starting at `addr`.
     pub fn write_words(&mut self, addr: u64, values: &[u64]) {
-        for (i, v) in values.iter().enumerate() {
-            self.write_u64(addr + 8 * i as u64, *v);
-        }
+        self.fill_words(addr, values.len(), |i| values[i]);
     }
 
     /// The words of the page containing `addr`, allocated zero-filled if

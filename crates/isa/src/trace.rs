@@ -215,21 +215,6 @@ impl Trace {
     pub fn mem_count(&self) -> usize {
         self.insts.iter().filter(|i| i.is_mem()).count()
     }
-
-    /// A deterministic content hash over every retired instruction
-    /// (fixed-seed [`crate::DetHasher`], stable across processes). Two
-    /// traces hash equal iff their instruction streams are bit-identical
-    /// — the memo key for per-capture derived artifacts such as the
-    /// offline classifier.
-    pub fn content_hash(&self) -> u64 {
-        use std::hash::{BuildHasher, Hash, Hasher};
-        let mut h = crate::DetState.build_hasher();
-        self.insts.len().hash(&mut h);
-        for inst in &self.insts {
-            inst.hash(&mut h);
-        }
-        h.finish()
-    }
 }
 
 impl<'a> IntoIterator for &'a Trace {

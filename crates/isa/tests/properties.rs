@@ -39,6 +39,45 @@ proptest! {
         }
     }
 
+    /// A bulk fill leaves exactly the image a per-word `write_u64` loop
+    /// leaves: same words, same touched pages, `f` called in index order
+    /// — for starts inside a page or on its boundary, lengths of 0 to 3
+    /// pages, and pages that already hold data.
+    #[test]
+    fn fill_words_matches_a_per_word_loop(
+        page in 0u64..1 << 20,
+        start_word in prop_oneof![Just(0usize), 1usize..SparseMemory::PAGE_WORDS],
+        n in 0usize..3 * SparseMemory::PAGE_WORDS + 1,
+        existing in proptest::collection::vec((0u64..4, 0usize..SparseMemory::PAGE_WORDS, any::<u64>()), 0..8),
+        seed in any::<u64>(),
+    ) {
+        let base = page * 4096 + 8 * start_word as u64;
+        let mut bulk = SparseMemory::new();
+        let mut scalar = SparseMemory::new();
+        for &(p, w, v) in &existing {
+            let a = (page + p) * 4096 + 8 * w as u64;
+            bulk.write_u64(a, v);
+            scalar.write_u64(a, v);
+        }
+        // A stateful generator: any change of call order moves values.
+        let lcg = |s: &mut u64| {
+            *s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            *s
+        };
+        let (mut bulk_state, mut scalar_state) = (seed, seed);
+        let mut calls = Vec::new();
+        bulk.fill_words(base, n, |i| {
+            calls.push(i);
+            lcg(&mut bulk_state)
+        });
+        for i in 0..n {
+            scalar.write_u64(base + 8 * i as u64, lcg(&mut scalar_state));
+        }
+        prop_assert_eq!(calls, (0..n).collect::<Vec<_>>());
+        prop_assert_eq!(bulk.touched_pages(), scalar.touched_pages());
+        prop_assert_eq!(bulk.pages_sorted(), scalar.pages_sorted());
+    }
+
     /// A straight-line ALU program retires exactly its instruction count
     /// and never errors.
     #[test]

@@ -59,16 +59,14 @@ pub fn counted(
 
 /// Fills `words` sequential words at `base` with RNG output.
 pub fn fill_random(vm: &mut Vm, base: u64, words: u64, rng: &mut Rng64) {
-    for i in 0..words {
-        vm.memory_mut().write_u64(base + i * 8, rng.next_u64());
-    }
+    fill_with(vm, base, words, |_| rng.next_u64());
 }
 
-/// Fills `words` sequential words at `base` with `f(i)`.
+/// Fills `words` sequential words at `base` with `f(i)`, calling `f` in
+/// index order (one page lookup per page, not per word).
 pub fn fill_with(vm: &mut Vm, base: u64, words: u64, mut f: impl FnMut(u64) -> u64) {
-    for i in 0..words {
-        vm.memory_mut().write_u64(base + i * 8, f(i));
-    }
+    vm.memory_mut()
+        .fill_words(base, words as usize, |i| f(i as u64));
 }
 
 /// A random permutation of `0..n` (Fisher–Yates).

@@ -7,7 +7,7 @@
 //! of the CRONO algorithms: streaming structure reads plus irregular
 //! property gathers.
 
-use crate::dsl::{counted, fill_random, forever, rng, Alloc};
+use crate::dsl::{counted, fill_random, fill_with, forever, rng, Alloc};
 use crate::rng::Rng64;
 use crate::{Spec, Suite};
 use dol_isa::{AluOp, Cond, Operand, ProgramBuilder, Reg, Vm};
@@ -35,28 +35,50 @@ struct Csr {
     n: u64,
 }
 
-/// A skewed random graph (RMAT-flavoured degree distribution).
+/// A skewed random graph (RMAT-flavoured degree distribution) on `n`
+/// vertices, `n` a power of two.
+///
+/// All `n * avg_degree` edges are drawn first; a stable counting sort on
+/// the source vertex then lays them out, so each vertex's neighbors keep
+/// their draw order.
 fn build_rmat(vm: &mut Vm, alloc: &mut Alloc, n: u64, avg_degree: u64, r: &mut Rng64) -> Csr {
+    assert!(
+        n.is_power_of_two() && n <= 1 << 32,
+        "RMAT vertex count {n} must be a power of two that fits u32 ids"
+    );
     let m = n * avg_degree;
-    let mut adj: Vec<Vec<u64>> = vec![Vec::new(); n as usize];
-    for _ in 0..m {
-        // Quadratic skew: low-numbered vertices attract more edges.
-        let u = (r.below(n) * r.below(n)) / n;
-        let v = (r.below(n) * r.below(n)) / n;
-        adj[u as usize].push(v);
+    // Quadratic skew: low-numbered vertices attract more edges. With `n`
+    // a power of two, a draw's `% n` is a mask and the `/ n` a shift.
+    let (mask, shift) = (n - 1, n.trailing_zeros());
+    let mut skewed = || (((r.next_u64() & mask) * (r.next_u64() & mask)) >> shift) as u32;
+    let edges: Vec<(u32, u32)> = (0..m)
+        .map(|_| {
+            let u = skewed();
+            (u, skewed())
+        })
+        .collect();
+
+    // start[u]: index in `col` of u's first neighbor; start[n] = m.
+    let mut start = vec![0usize; n as usize + 1];
+    for &(u, _) in &edges {
+        start[u as usize + 1] += 1;
+    }
+    for u in 0..n as usize {
+        start[u + 1] += start[u];
     }
     let row_ptr = alloc.array(n + 1);
-    let total: usize = adj.iter().map(|a| a.len()).sum();
-    let col = alloc.array(total as u64);
-    let mut off = 0u64;
-    for u in 0..n {
-        vm.memory_mut().write_u64(row_ptr + u * 8, col + off * 8);
-        for &v in &adj[u as usize] {
-            vm.memory_mut().write_u64(col + off * 8, v * 8);
-            off += 1;
-        }
+    let col = alloc.array(m);
+    fill_with(vm, row_ptr, n + 1, |u| col + 8 * start[u as usize] as u64);
+
+    // Place each edge at its source's cursor (start[u], advanced in
+    // place), in draw order.
+    let mut adj = vec![0u32; m as usize];
+    for &(u, v) in &edges {
+        let cursor = &mut start[u as usize];
+        adj[*cursor] = v;
+        *cursor += 1;
     }
-    vm.memory_mut().write_u64(row_ptr + n * 8, col + off * 8);
+    fill_with(vm, col, m, |i| 8 * adj[i as usize] as u64);
     Csr { row_ptr, n }
 }
 
@@ -66,30 +88,32 @@ fn build_grid(vm: &mut Vm, alloc: &mut Alloc, width: u64, height: u64) -> Csr {
     let row_ptr = alloc.array(n + 1);
     // ≤4 neighbors each.
     let col = alloc.array(n * 4);
-    let mut off = 0u64;
-    for y in 0..height {
-        for x in 0..width {
-            let u = y * width + x;
-            vm.memory_mut().write_u64(row_ptr + u * 8, col + off * 8);
-            let mut push = |v: u64| {
-                vm.memory_mut().write_u64(col + off * 8, v * 8);
-                off += 1;
-            };
-            if x > 0 {
-                push(u - 1);
-            }
-            if x + 1 < width {
-                push(u + 1);
-            }
-            if y > 0 {
-                push(u - width);
-            }
-            if y + 1 < height {
-                push(u + width);
-            }
-        }
-    }
-    vm.memory_mut().write_u64(row_ptr + n * 8, col + off * 8);
+    // Vertices in id order; each lists its left, right, up, down neighbors.
+    let cells = || (0..height).flat_map(move |y| (0..width).map(move |x| (x, y)));
+    let neighbors = move |(x, y): (u64, u64)| {
+        let u = y * width + x;
+        [
+            (x > 0).then(|| u - 1),
+            (x + 1 < width).then(|| u + 1),
+            (y > 0).then(|| u - width),
+            (y + 1 < height).then(|| u + width),
+        ]
+        .into_iter()
+        .flatten()
+    };
+    let mut bounds = std::iter::once(col).chain(cells().scan(col, |end, c| {
+        *end += 8 * neighbors(c).count() as u64;
+        Some(*end)
+    }));
+    let mut end = col;
+    fill_with(vm, row_ptr, n + 1, |_| {
+        end = bounds.next().expect("n + 1 slice bounds");
+        end
+    });
+    let mut edges = cells().flat_map(neighbors);
+    fill_with(vm, col, (end - col) / 8, |_| {
+        8 * edges.next().expect("one word per edge")
+    });
     Csr { row_ptr, n }
 }
 
@@ -124,6 +148,10 @@ fn csr_sweep(
 
 const RMAT_N: u64 = 64 * 1024;
 const RMAT_DEG: u64 = 8;
+const _: () = assert!(
+    RMAT_N.is_power_of_two(),
+    "build_rmat masks and shifts by RMAT_N"
+);
 
 /// BFS-like relaxation: gather `level[v]` over all neighbors.
 fn bfs_rmat(seed: u64) -> Vm {
@@ -212,9 +240,7 @@ fn cc_rmat(seed: u64) -> Vm {
     let g = build_rmat(&mut vm_proto, &mut alloc, RMAT_N, RMAT_DEG, &mut r);
     let label = alloc.array(g.n);
     // Labels start as vertex ids.
-    for u in 0..g.n {
-        vm_proto.memory_mut().write_u64(label + u * 8, u);
-    }
+    fill_with(&mut vm_proto, label, g.n, |u| u);
 
     let mut b = ProgramBuilder::new();
     b.imm(R2, label as i64);
