@@ -33,13 +33,10 @@ struct ExtraGate {
 ///    prefetches stop earning hits are suppressed ("expertise can be
 ///    measured"), with periodic re-probing.
 ///
-/// The base is a type parameter so the per-retire call into the
-/// specialized components is statically dispatched (the built-in TPC
-/// path is the simulator's hottest loop); only the *extras* — the
-/// open-ended registry of monolithic prefetchers — stay behind
-/// `Box<dyn Prefetcher>`.
-pub struct Composite<B: Prefetcher = Box<dyn Prefetcher>> {
-    base: B,
+/// The base and the extras all sit behind `Box<dyn Prefetcher>`: the
+/// coordinator needs nothing from a component beyond that interface.
+pub struct Composite {
+    base: Box<dyn Prefetcher>,
     extras: Vec<(Origin, Box<dyn Prefetcher>)>,
     /// Per-extra accuracy gates (Sec. IV-D, "expertise can be
     /// measured"): the coordinator tracks each extra's realized
@@ -65,7 +62,7 @@ pub struct Composite<B: Prefetcher = Box<dyn Prefetcher>> {
     name: String,
 }
 
-impl<B: Prefetcher> std::fmt::Debug for Composite<B> {
+impl std::fmt::Debug for Composite {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Composite")
             .field("name", &self.name)
@@ -75,7 +72,7 @@ impl<B: Prefetcher> std::fmt::Debug for Composite<B> {
     }
 }
 
-impl<B: Prefetcher> Composite<B> {
+impl Composite {
     /// Assignment-table capacity (entries), fixed at construction.
     pub const ASSIGNMENT_ENTRIES: usize = 16_384;
     /// Sticky-claim-table capacity (entries), fixed at construction.
@@ -84,7 +81,7 @@ impl<B: Prefetcher> Composite<B> {
     /// Builds a composite from a base and extra components; each extra
     /// comes with the [`Origin`] its requests carry (for ownership
     /// learning from demand hits).
-    pub fn new(base: B, extras: Vec<(Origin, Box<dyn Prefetcher>)>) -> Self {
+    pub fn new(base: Box<dyn Prefetcher>, extras: Vec<(Origin, Box<dyn Prefetcher>)>) -> Self {
         let mut name = base.name().to_string();
         for (_, e) in &extras {
             name.push('+');
@@ -104,7 +101,11 @@ impl<B: Prefetcher> Composite<B> {
     }
 
     /// Convenience: a base plus a single extra component.
-    pub fn with_extra(base: B, origin: Origin, extra: Box<dyn Prefetcher>) -> Self {
+    pub fn with_extra(
+        base: Box<dyn Prefetcher>,
+        origin: Origin,
+        extra: Box<dyn Prefetcher>,
+    ) -> Self {
         Composite::new(base, vec![(origin, extra)])
     }
 
@@ -153,7 +154,7 @@ impl<B: Prefetcher> Composite<B> {
     }
 }
 
-impl<B: Prefetcher> Prefetcher for Composite<B> {
+impl Prefetcher for Composite {
     fn name(&self) -> &str {
         &self.name
     }
@@ -292,7 +293,7 @@ mod tests {
     }
 
     fn drive(
-        c: &mut Composite<ClaimingBase>,
+        c: &mut Composite,
         pc: u64,
         addr: u64,
         served: Option<Origin>,
@@ -312,7 +313,7 @@ mod tests {
     #[test]
     fn claimed_instructions_never_reach_extras() {
         let mut c = Composite::with_extra(
-            ClaimingBase(0x100),
+            Box::new(ClaimingBase(0x100)),
             Origin(40),
             Box::new(Probe {
                 origin: Origin(40),
@@ -328,7 +329,7 @@ mod tests {
     #[test]
     fn round_robin_distributes_unclaimed_pcs() {
         let mut c = Composite::new(
-            ClaimingBase(0),
+            Box::new(ClaimingBase(0)),
             vec![
                 (
                     Origin(40),
@@ -362,7 +363,7 @@ mod tests {
     #[test]
     fn ownership_migrates_to_the_component_that_served_the_hit() {
         let mut c = Composite::new(
-            ClaimingBase(0),
+            Box::new(ClaimingBase(0)),
             vec![
                 (
                     Origin(40),
@@ -396,7 +397,7 @@ mod tests {
         // An extra that issues constantly but never earns a hit must be
         // suppressed after the measurement window.
         let mut c = Composite::with_extra(
-            ClaimingBase(0),
+            Box::new(ClaimingBase(0)),
             Origin(40),
             Box::new(Probe {
                 origin: Origin(40),
@@ -420,7 +421,7 @@ mod tests {
     fn useful_extra_stays_active() {
         // An extra whose lines keep serving demand hits is never gated.
         let mut c = Composite::with_extra(
-            ClaimingBase(0),
+            Box::new(ClaimingBase(0)),
             Origin(40),
             Box::new(Probe {
                 origin: Origin(40),
@@ -439,7 +440,7 @@ mod tests {
     #[test]
     fn gated_extra_is_reprobed_after_backoff() {
         let mut c = Composite::with_extra(
-            ClaimingBase(0),
+            Box::new(ClaimingBase(0)),
             Origin(40),
             Box::new(Probe {
                 origin: Origin(40),
@@ -469,14 +470,14 @@ mod tests {
         // hold must leave the footprint pinned at the configured
         // capacities, never growing with the workload.
         let mut c = Composite::with_extra(
-            ClaimingBase(u64::MAX), // claims nothing reachable
+            Box::new(ClaimingBase(u64::MAX)), // claims nothing reachable
             Origin(40),
             Box::new(Probe {
                 origin: Origin(40),
                 seen: Vec::new(),
             }),
         );
-        let cap = Composite::<ClaimingBase>::ASSIGNMENT_ENTRIES;
+        let cap = Composite::ASSIGNMENT_ENTRIES;
         for i in 0..2_000_000u64 {
             // Unique, low-bit-aliasing-hostile PCs.
             let pc = i.wrapping_mul(0x100_0001) | 1;
@@ -488,7 +489,7 @@ mod tests {
             cap,
             "assignment table must sit exactly at capacity"
         );
-        assert!(c.sticky_count() <= Composite::<ClaimingBase>::STICKY_ENTRIES);
+        assert!(c.sticky_count() <= Composite::STICKY_ENTRIES);
     }
 
     #[test]
@@ -508,7 +509,7 @@ mod tests {
             }
         }
         let mut c = Composite::with_extra(
-            ClaimAll,
+            Box::new(ClaimAll),
             Origin(40),
             Box::new(Probe {
                 origin: Origin(40),
@@ -529,7 +530,7 @@ mod tests {
         }
         assert_eq!(
             c.sticky_count(),
-            Composite::<ClaimAll>::STICKY_ENTRIES,
+            Composite::STICKY_ENTRIES,
             "sticky-claim table must sit exactly at capacity"
         );
         assert_eq!(c.assigned_count(), 0);
@@ -538,7 +539,7 @@ mod tests {
     #[test]
     fn name_and_storage_compose() {
         let c = Composite::with_extra(
-            ClaimingBase(0),
+            Box::new(ClaimingBase(0)),
             Origin(40),
             Box::new(Probe {
                 origin: Origin(40),
@@ -578,7 +579,7 @@ mod tests {
             }
         }
         let mut c = Composite::with_extra(
-            ClaimingBase(0),
+            Box::new(ClaimingBase(0)),
             Origin(40),
             Box::new(Completer {
                 origin: Origin(40),

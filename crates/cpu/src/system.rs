@@ -267,10 +267,9 @@ impl System {
     /// per core, streaming metric events from all cores into `sink` —
     /// the multi-core counterpart of [`run_with_sink`](Self::run_with_sink).
     ///
-    /// The array sizes tie core count to the type system. A concrete `P`
-    /// (one design, or the harness's `Built` enum) keeps static dispatch
-    /// on the hot per-retire edge; `[Box<dyn Prefetcher>; N]` runs
-    /// heterogeneous boxed designs. The workloads are owned or borrowed
+    /// The array sizes tie core count to the type system. `P` is one
+    /// concrete design for all cores, or `Box<dyn Prefetcher>` for a
+    /// heterogeneous per-core plan. The workloads are owned or borrowed
     /// (`[&Workload; N]`), so a co-run of captured workloads needs no
     /// copy of their traces and memory images.
     ///

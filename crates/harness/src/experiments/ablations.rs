@@ -5,32 +5,33 @@
 use dol_baselines::registry::monolithic_by_name;
 use dol_core::{Composite, Prefetcher, Shunt, Tpc, TpcBuilder, TpcConfig};
 use dol_cpu::{System, SystemConfig};
-use dol_mem::{DropPolicy, NullSink};
+use dol_mem::{DropPolicy, NullSink, Origin};
 use dol_metrics::{geomean, weighted_speedup, TextTable};
-use dol_workloads::mixes;
+use dol_workloads::{mixes, Mix};
 
 use crate::bands::Expectation;
 use crate::experiments::Report;
-use crate::runner::{single_core, AppRun, BaselineRun};
+use crate::prefetchers::{extra_origin, EXTRA_SET};
+use crate::runner::{single_core, AppRun, BaselineRun, CoRunMembers};
 use crate::RunPlan;
 
 /// The Sec. V-C result: when the DRAM queue fills, dropping
 /// low-probability (C1) prefetches first instead of dropping prefetches
 /// indiscriminately is worth ~6% on average in a multicore environment.
 pub fn drop_policy(plan: &RunPlan) -> Report {
-    let mixes = mixes(plan.mix_count, plan.seed);
+    let mixes: Vec<[&str; 4]> = mixes(plan.mix_count, plan.seed)
+        .iter()
+        .map(Mix::names)
+        .collect();
+    let members = CoRunMembers::capture(plan, &mixes);
     let ratios: Vec<f64> = crate::sweep::map(plan.jobs, &mixes, |mix| {
-        let bases: [_; 4] = std::array::from_fn(|i| BaselineRun::capture(&mix.members[i], plan));
-        let members: [_; 4] = std::array::from_fn(|i| &bases[i].workload);
-        let alone: Vec<f64> = bases.iter().map(|b| b.result.ipc()).collect();
+        let alone = members.solo_ipcs(mix);
         let ws_with = |policy: DropPolicy| -> f64 {
             let mut cfg = SystemConfig::isca2018(4);
             cfg.hierarchy.dram.drop_policy = policy;
             // Stress the queues so the policy matters.
             cfg.hierarchy.dram.queue_capacity = 12;
-            let sys = System::new(cfg);
-            let mut ps: [Tpc; 4] = std::array::from_fn(|_| Tpc::full());
-            let r = sys.run_corun(&members, &mut ps, &mut NullSink);
+            let r = members.corun(&System::new(cfg), mix, ["TPC"; 4], &mut NullSink);
             weighted_speedup(&r.ipcs(), &alone)
         };
         let random = ws_with(DropPolicy::Random);
@@ -56,24 +57,29 @@ pub fn drop_policy(plan: &RunPlan) -> Report {
     }
 }
 
-fn tpc_variant(cfg: TpcConfig, name: &str) -> Box<dyn Prefetcher> {
-    Box::new(TpcBuilder::new().config(cfg).name(name).build())
+/// A single-core prefetcher variant: builds a fresh prefetcher per run.
+type Variant = Box<dyn Fn() -> Box<dyn Prefetcher> + Sync>;
+
+fn tpc_variant(cfg: TpcConfig, name: &'static str) -> Variant {
+    Box::new(move || Box::new(TpcBuilder::new().config(cfg).name(name).build()))
 }
 
-fn geomean_speedup_with(
-    plan: &RunPlan,
-    apps: &[&str],
-    build: impl Fn() -> Box<dyn Prefetcher> + Sync,
-) -> f64 {
+/// Runs every variant on each of `apps` on the single-core system, one
+/// sweep item per app. Returns each variant's per-app speedups over the
+/// no-prefetch baseline, in `apps` order.
+fn variant_speedups(plan: &RunPlan, apps: &[&str], variants: &[Variant]) -> Vec<Vec<f64>> {
     let sys = single_core();
-    let v = crate::sweep::map(plan.jobs, apps, |name| {
+    let per_app = crate::sweep::map(plan.jobs, apps, |name| {
         let spec = dol_workloads::by_name(name).expect("known workload");
         let base = BaselineRun::capture(&spec, plan);
-        let mut p = build();
-        let r = sys.run(&base.workload, p.as_mut());
-        base.cycles() as f64 / r.cycles as f64
+        variants
+            .iter()
+            .map(|build| base.cycles() as f64 / sys.run(&base.workload, &mut build()).cycles as f64)
+            .collect::<Vec<f64>>()
     });
-    geomean(&v)
+    (0..variants.len())
+        .map(|v| per_app.iter().map(|app| app[v]).collect())
+        .collect()
 }
 
 const STRIDED_APPS: [&str; 5] = [
@@ -92,17 +98,22 @@ pub fn t2_thresholds(plan: &RunPlan) -> Report {
         ("confirm=16, early=4 (paper)", 16, 4),
         ("confirm=32, early=8", 32, 8),
     ];
-    let mut t = TextTable::new(vec!["variant".into(), "geomean speedup".into()]);
-    let mut results = Vec::new();
-    for (name, confirm, early) in &variants {
-        let g = geomean_speedup_with(plan, &STRIDED_APPS, || {
+    let builds: Vec<Variant> = variants
+        .iter()
+        .map(|&(_, confirm, early)| {
             let mut cfg = TpcConfig::default();
-            cfg.sit.stride_confirm = *confirm;
-            cfg.sit.early_issue = *early;
+            cfg.sit.stride_confirm = confirm;
+            cfg.sit.early_issue = early;
             tpc_variant(cfg, "TPC-variant")
-        });
-        results.push(g);
-        t.row_f64(name, &[g]);
+        })
+        .collect();
+    let results: Vec<f64> = variant_speedups(plan, &STRIDED_APPS, &builds)
+        .iter()
+        .map(|v| geomean(v))
+        .collect();
+    let mut t = TextTable::new(vec!["variant".into(), "geomean speedup".into()]);
+    for ((name, ..), g) in variants.iter().zip(&results) {
+        t.row_f64(name, &[*g]);
     }
     let spread = results.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
         / results.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -128,17 +139,22 @@ pub fn c1_density(plan: &RunPlan) -> Report {
         ("dense>6, p>3/4 (paper)", 6, (3, 4)),
         ("dense>10, p>3/4", 10, (3, 4)),
     ];
-    let mut t = TextTable::new(vec!["variant".into(), "geomean speedup".into()]);
-    let mut results = Vec::new();
-    for (name, dense, ratio) in &variants {
-        let g = geomean_speedup_with(plan, &REGION_APPS, || {
+    let builds: Vec<Variant> = variants
+        .iter()
+        .map(|&(_, dense, ratio)| {
             let mut cfg = TpcConfig::default();
-            cfg.c1.dense_lines = *dense;
-            cfg.c1.decision_ratio = *ratio;
+            cfg.c1.dense_lines = dense;
+            cfg.c1.decision_ratio = ratio;
             tpc_variant(cfg, "TPC-variant")
-        });
-        results.push(g);
-        t.row_f64(name, &[g]);
+        })
+        .collect();
+    let results: Vec<f64> = variant_speedups(plan, &REGION_APPS, &builds)
+        .iter()
+        .map(|v| geomean(v))
+        .collect();
+    let mut t = TextTable::new(vec!["variant".into(), "geomean speedup".into()]);
+    for ((name, ..), g) in variants.iter().zip(&results) {
+        t.row_f64(name, &[*g]);
     }
     let paper = results[1];
     let loosest = results[0];
@@ -184,14 +200,16 @@ pub fn mpc(plan: &RunPlan) -> Report {
 /// values arrive early enough to prefetch the targets.
 pub fn p1_doubling(plan: &RunPlan) -> Report {
     let apps = ["aop_deref", "spmv_csr", "listchase_payload"];
-    let with = geomean_speedup_with(plan, &apps, || Box::new(Tpc::full()));
-    let without = geomean_speedup_with(plan, &apps, || {
-        let cfg = TpcConfig {
-            p1_double_distance: false,
-            ..TpcConfig::default()
-        };
-        tpc_variant(cfg, "TPC-nodouble")
-    });
+    let nodouble = TpcConfig {
+        p1_double_distance: false,
+        ..TpcConfig::default()
+    };
+    let builds: [Variant; 2] = [
+        Box::new(|| Box::new(Tpc::full())),
+        tpc_variant(nodouble, "TPC-nodouble"),
+    ];
+    let speedups = variant_speedups(plan, &apps, &builds);
+    let (with, without) = (geomean(&speedups[0]), geomean(&speedups[1]));
     let mut t = TextTable::new(vec!["variant".into(), "pointer-suite geomean".into()]);
     t.row_f64("doubled distance (paper)", &[with]);
     t.row_f64("plain distance", &[without]);
@@ -212,43 +230,38 @@ pub fn p1_doubling(plan: &RunPlan) -> Report {
 /// Sec. IV-E coordinator with round-robin assignment and tag-learned
 /// ownership — against the equivalent five-way shunt.
 pub fn multi_extra(plan: &RunPlan) -> Report {
-    use crate::prefetchers::{extra_origin, EXTRA_SET};
-
-    let sys = single_core();
-    let specs = plan.cap_suite(dol_workloads::spec21());
-    let per_app: Vec<(f64, f64, f64)> = crate::sweep::map(plan.jobs, &specs, |spec| {
-        let base = BaselineRun::capture(spec, plan);
-        let tpc = {
-            let mut p = Tpc::full();
-            sys.run(&base.workload, &mut p).cycles
-        };
-        let comp = {
-            let extras = EXTRA_SET
-                .iter()
-                .enumerate()
-                .map(|(i, name)| {
-                    let origin = extra_origin(i);
-                    let p = monolithic_by_name(name, origin).expect("known extra");
-                    (origin, p)
-                })
-                .collect();
-            let mut c = Composite::new(Tpc::full(), extras);
-            sys.run(&base.workload, &mut c).cycles
-        };
-        let sh = {
+    /// The four extras, each with its own origin.
+    fn extras() -> Vec<(Origin, Box<dyn Prefetcher>)> {
+        EXTRA_SET
+            .iter()
+            .enumerate()
+            .map(|(i, name)| {
+                let origin = extra_origin(i);
+                (
+                    origin,
+                    monolithic_by_name(name, origin).expect("known extra"),
+                )
+            })
+            .collect()
+    }
+    let builds: [Variant; 3] = [
+        Box::new(|| Box::new(Tpc::full())),
+        Box::new(|| Box::new(Composite::new(Box::new(Tpc::full()), extras()))),
+        Box::new(|| {
             let mut members: Vec<Box<dyn Prefetcher>> = vec![Box::new(Tpc::full())];
-            for (i, name) in EXTRA_SET.iter().enumerate() {
-                members.push(monolithic_by_name(name, extra_origin(i)).expect("known extra"));
-            }
-            let mut s = Shunt::new(members);
-            sys.run(&base.workload, &mut s).cycles
-        };
-        let b = base.cycles() as f64;
-        (b / tpc as f64, b / comp as f64, b / sh as f64)
-    });
-    let tpc_ratio: Vec<f64> = per_app.iter().map(|r| r.0).collect();
-    let comp_ratio: Vec<f64> = per_app.iter().map(|r| r.1).collect();
-    let shunt_ratio: Vec<f64> = per_app.iter().map(|r| r.2).collect();
+            members.extend(extras().into_iter().map(|(_, p)| p));
+            Box::new(Shunt::new(members))
+        }),
+    ];
+    let apps: Vec<&str> = plan
+        .cap_suite(dol_workloads::spec21())
+        .iter()
+        .map(|s| s.name)
+        .collect();
+    let [tpc_ratio, comp_ratio, shunt_ratio]: [Vec<f64>; 3] =
+        variant_speedups(plan, &apps, &builds)
+            .try_into()
+            .expect("three variants");
     let (g_tpc, g_comp, g_shunt) = (
         geomean(&tpc_ratio),
         geomean(&comp_ratio),

@@ -1,17 +1,14 @@
 //! Figure 11 — speedups across benchmark suites and multicore mixes.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
 use dol_cpu::{System, SystemConfig};
 use dol_mem::NullSink;
 use dol_metrics::{geomean, weighted_speedup, TextTable};
-use dol_workloads::{mixes, Spec};
+use dol_workloads::{mixes, Mix, Spec};
 
 use crate::bands::Expectation;
 use crate::experiments::Report;
-use crate::prefetchers::{self, COMPARISON_SET};
-use crate::runner::{single_core, AppRun, BaselineRun};
+use crate::prefetchers::COMPARISON_SET;
+use crate::runner::{single_core, AppRun, BaselineRun, CoRunMembers};
 use crate::RunPlan;
 
 fn suite_geomeans(plan: &RunPlan, specs: Vec<Spec>) -> Vec<f64> {
@@ -38,32 +35,16 @@ fn suite_geomeans(plan: &RunPlan, specs: Vec<Spec>) -> Vec<f64> {
 /// parallel against that shared cache.
 fn mix_speedups(plan: &RunPlan) -> Vec<f64> {
     let sys4 = System::new(SystemConfig::isca2018(4));
-    let mixes = mixes(plan.mix_count, plan.seed);
-
-    // Unique members, in first-appearance order.
-    let mut uniq: Vec<&Spec> = Vec::new();
-    for m in mixes.iter().flat_map(|m| m.members.iter()) {
-        if !uniq.iter().any(|u| u.name == m.name) {
-            uniq.push(m);
-        }
-    }
-    let captured: HashMap<String, Arc<BaselineRun>> = crate::sweep::map(plan.jobs, &uniq, |m| {
-        (m.name.to_string(), BaselineRun::capture(m, plan))
-    })
-    .into_iter()
-    .collect();
+    let mixes: Vec<[&str; 4]> = mixes(plan.mix_count, plan.seed)
+        .iter()
+        .map(Mix::names)
+        .collect();
+    let members = CoRunMembers::capture(plan, &mixes);
 
     let per_mix: Vec<Vec<f64>> = crate::sweep::map(plan.jobs, &mixes, |mix| {
-        let members: [_; 4] = std::array::from_fn(|i| &captured[mix.members[i].name].workload);
-        let alone: Vec<f64> = mix
-            .members
-            .iter()
-            .map(|m| captured[m.name].result.ipc())
-            .collect();
+        let alone = members.solo_ipcs(mix);
         let ws_of = |cfg: &str| -> f64 {
-            let mut ps: [prefetchers::Built; 4] =
-                std::array::from_fn(|_| prefetchers::build(cfg).expect("known config"));
-            let r = sys4.run_corun(&members, &mut ps, &mut NullSink);
+            let r = members.corun(&sys4, mix, [cfg; 4], &mut NullSink);
             weighted_speedup(&r.ipcs(), &alone)
         };
         let ws_none = ws_of("none");

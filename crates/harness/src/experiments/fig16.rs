@@ -54,7 +54,7 @@ pub fn run(plan: &RunPlan) -> Report {
                             // run it directly instead of through the memo.
                             let sm =
                                 StreamingMetrics::new().with_classifier(base.classifier.clone());
-                            AppRun::run_streaming(&base, cfg, &sys, sm)
+                            Arc::new(AppRun::run_streaming(&base, cfg, &sys, sm))
                         } else {
                             AppRun::run(&base, cfg, &sys)
                         };

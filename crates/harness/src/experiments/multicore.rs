@@ -5,8 +5,8 @@
 //! Table I system and assigns every core its own prefetcher
 //! configuration (possibly heterogeneous — the paper's Sec. VI setting
 //! where each core runs whatever its workload deserves). The co-run
-//! goes through [`dol_cpu::System::run_corun`], the monomorphized
-//! multi-core entry point, with a [`StreamingMetrics`] sink so per-core
+//! goes through [`CoRunMembers::corun`], the harness's one way to build
+//! and run a per-core plan, with a [`StreamingMetrics`] sink so per-core
 //! accounting cells and shared-resource counters (LLC pollution by
 //! issuing core, DRAM bank conflicts, MSHR stalls) stream out of the
 //! same run that produces the weighted speedups.
@@ -16,16 +16,14 @@
 //! is byte-identical for any `--jobs` (CI diffs `--jobs 1` vs `-j N`).
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use dol_cpu::{MultiRunResult, System, SystemConfig, Workload};
+use dol_cpu::{System, SystemConfig};
 use dol_mem::{CacheLevel, NullSink};
 use dol_metrics::{geomean, weighted_speedup, StreamingMetrics, TextTable};
 
 use crate::bands::Expectation;
 use crate::experiments::Report;
-use crate::prefetchers;
-use crate::runner::BaselineRun;
+use crate::runner::CoRunMembers;
 use crate::RunPlan;
 
 /// One 4-core co-run scenario: a workload mix plus a per-core
@@ -84,24 +82,6 @@ fn scenarios() -> Vec<Scenario> {
     ]
 }
 
-/// One co-run's results: the timing outcome plus the streamed metrics.
-struct CoRun {
-    result: MultiRunResult,
-    metrics: StreamingMetrics,
-}
-
-/// One prefetcher per core, built from its config name.
-fn build_plan(configs: &[&str; 4]) -> [prefetchers::Built; 4] {
-    configs
-        .map(|c| prefetchers::build(c).unwrap_or_else(|| panic!("unknown prefetcher config {c}")))
-}
-
-fn corun(sys4: &System, members: &[&Workload; 4], configs: &[&str; 4]) -> CoRun {
-    let mut metrics = StreamingMetrics::new();
-    let result = sys4.run_corun(members, &mut build_plan(configs), &mut metrics);
-    CoRun { result, metrics }
-}
-
 /// Everything one scenario contributes to the report.
 struct ScenarioRow {
     name: &'static str,
@@ -125,25 +105,20 @@ struct ScenarioRow {
 fn run_scenario(
     sys4: &System,
     sc: &Scenario,
-    captured: &HashMap<String, Arc<BaselineRun>>,
+    members: &CoRunMembers,
     none_ipcs: &HashMap<[&'static str; 4], Vec<f64>>,
 ) -> ScenarioRow {
-    let members: [&Workload; 4] = sc.members.map(|m| &captured[m].workload);
-    let alone: Vec<f64> = sc
-        .members
-        .iter()
-        .map(|m| captured[*m].result.ipc())
-        .collect();
-
-    let plan = corun(sys4, &members, &sc.configs);
+    let alone = members.solo_ipcs(&sc.members);
+    let mut metrics = StreamingMetrics::new();
+    let result = members.corun(sys4, &sc.members, sc.configs, &mut metrics);
     let ws_none = weighted_speedup(&none_ipcs[&sc.members], &alone);
-    let ws_plan = weighted_speedup(&plan.result.ipcs(), &alone);
+    let ws_plan = weighted_speedup(&result.ipcs(), &alone);
 
-    let shared = &plan.result.stats.shared;
-    let ipcs = plan.result.ipcs();
+    let shared = &result.stats.shared;
+    let ipcs = result.ipcs();
     let cores = (0..4)
         .map(|c| {
-            let acc = plan.metrics.core_accuracy(c, CacheLevel::L2);
+            let acc = metrics.core_accuracy(c, CacheLevel::L2);
             vec![
                 format!("{}.c{}", sc.name, c),
                 sc.members[c].to_string(),
@@ -151,7 +126,7 @@ fn run_scenario(
                 format!("{:.3}", ipcs[c] / alone[c]),
                 format!("{}", acc.issued),
                 format!("{:.3}", acc.effective_accuracy()),
-                format!("{}", plan.metrics.core_demand_misses(c, CacheLevel::L2)),
+                format!("{}", metrics.core_demand_misses(c, CacheLevel::L2)),
                 format!("{}", shared.llc_prefetch_fills[c]),
                 format!("{}", shared.llc_prefetch_cross_evictions[c]),
             ]
@@ -163,9 +138,9 @@ fn run_scenario(
         ws_norm: ws_plan / ws_none,
         contention: ws_none / 4.0,
         pollution: shared.total_prefetch_pollution(),
-        bank_conflicts: plan.result.stats.dram.bank_conflicts,
+        bank_conflicts: result.stats.dram.bank_conflicts,
         mshr_stall_cycles: shared.total_mshr_stall_cycles(),
-        dropped: plan.result.stats.dram.dropped_prefetches,
+        dropped: result.stats.dram.dropped_prefetches,
         cores,
     }
 }
@@ -174,21 +149,6 @@ fn run_scenario(
 pub fn run(plan: &RunPlan) -> Report {
     let sys4 = System::new(SystemConfig::isca2018(4));
     let scenarios = scenarios();
-
-    // Unique members across the matrix, captured (with solo no-prefetch
-    // baselines) once each through the sweep pool.
-    let mut uniq: Vec<&'static str> = Vec::new();
-    for m in scenarios.iter().flat_map(|s| s.members.iter()) {
-        if !uniq.contains(m) {
-            uniq.push(m);
-        }
-    }
-    let captured: HashMap<String, Arc<BaselineRun>> = crate::sweep::map(plan.jobs, &uniq, |name| {
-        let spec = dol_workloads::by_name(name).expect("known workload");
-        (name.to_string(), BaselineRun::capture(&spec, plan))
-    })
-    .into_iter()
-    .collect();
 
     // The no-prefetch reference co-run depends only on the member set,
     // and scenarios share member sets on purpose (the two `mixed/*`
@@ -201,17 +161,19 @@ pub fn run(plan: &RunPlan) -> Report {
             member_sets.push(sc.members);
         }
     }
+    // Unique members across the matrix, captured (with solo no-prefetch
+    // baselines) once each through the sweep pool.
+    let members = CoRunMembers::capture(plan, &member_sets);
     let none_ipcs: HashMap<[&'static str; 4], Vec<f64>> =
         crate::sweep::map(plan.jobs, &member_sets, |set| {
-            let members: [&Workload; 4] = set.map(|m| &captured[m].workload);
-            let none = sys4.run_corun(&members, &mut build_plan(&["none"; 4]), &mut NullSink);
+            let none = members.corun(&sys4, set, ["none"; 4], &mut NullSink);
             (*set, none.ipcs())
         })
         .into_iter()
         .collect();
 
     let rows: Vec<ScenarioRow> = crate::sweep::map(plan.jobs, &scenarios, |sc| {
-        run_scenario(&sys4, sc, &captured, &none_ipcs)
+        run_scenario(&sys4, sc, &members, &none_ipcs)
     });
 
     let mut t = TextTable::new(

@@ -1,10 +1,7 @@
 //! Named prefetcher configurations for the experiments.
 
 use dol_baselines::registry::{monolithic_by_name, monolithic_origin, MONOLITHIC_NAMES};
-use dol_core::{
-    origins, CompletedPrefetch, Composite, NoPrefetcher, PrefetchRequest, Prefetcher, RetireInfo,
-    Shunt, Tpc, TpcBuilder,
-};
+use dol_core::{origins, Composite, NoPrefetcher, Prefetcher, Shunt, Tpc, TpcBuilder};
 use dol_mem::Origin;
 
 /// The comparison set of the paper's Figure 8: seven monolithic designs
@@ -30,89 +27,9 @@ pub fn extra_origin(i: usize) -> Origin {
     Origin(origins::EXTRA_BASE + i as u16)
 }
 
-/// A built prefetcher configuration, dispatched statically for the
-/// built-in component arrangements.
-///
-/// The per-retire call into the prefetcher is the simulator's hottest
-/// edge; routing the three built-in shapes (bare TPC, TPC compositing
-/// one extra, no-prefetch) through an enum lets the compiler
-/// monomorphize `System::run` with direct calls into `Tpc`, keeping
-/// `Box<dyn Prefetcher>` only for the open-ended monolithic registry
-/// and the shunt contrast case.
-///
-/// The variant sizes differ by design: boxing the large variants would
-/// reintroduce the pointer chase this enum removes from the hot loop,
-/// and at most a handful of `Built`s exist at a time (one per simulated
-/// core), so the footprint delta is irrelevant.
-#[allow(clippy::large_enum_variant)]
-pub enum Built {
-    /// The no-prefetch baseline.
-    None(NoPrefetcher),
-    /// A (possibly partial) TPC composite — statically dispatched.
-    Tpc(Tpc),
-    /// TPC plus one extra component under the coordinator — the base's
-    /// per-retire path is static; the extra stays behind `dyn`.
-    Composite(Composite<Tpc>),
-    /// TPC shunted with an extra (the negative-contrast case; stays
-    /// fully dynamic on purpose — it is not a perf-critical config).
-    Shunt(Shunt),
-    /// A monolithic prefetcher from the registry.
-    Mono(Box<dyn Prefetcher>),
-}
-
-impl Prefetcher for Built {
-    fn name(&self) -> &str {
-        match self {
-            Built::None(p) => p.name(),
-            Built::Tpc(p) => p.name(),
-            Built::Composite(p) => p.name(),
-            Built::Shunt(p) => p.name(),
-            Built::Mono(p) => p.name(),
-        }
-    }
-
-    fn storage_bits(&self) -> u64 {
-        match self {
-            Built::None(p) => p.storage_bits(),
-            Built::Tpc(p) => p.storage_bits(),
-            Built::Composite(p) => p.storage_bits(),
-            Built::Shunt(p) => p.storage_bits(),
-            Built::Mono(p) => p.storage_bits(),
-        }
-    }
-
-    #[inline]
-    fn on_retire(&mut self, ev: &RetireInfo<'_>, out: &mut Vec<PrefetchRequest>) {
-        match self {
-            Built::None(p) => p.on_retire(ev, out),
-            Built::Tpc(p) => p.on_retire(ev, out),
-            Built::Composite(p) => p.on_retire(ev, out),
-            Built::Shunt(p) => p.on_retire(ev, out),
-            Built::Mono(p) => p.on_retire(ev, out),
-        }
-    }
-
-    #[inline]
-    fn on_prefetch_complete(&mut self, pf: &CompletedPrefetch, out: &mut Vec<PrefetchRequest>) {
-        match self {
-            Built::None(p) => p.on_prefetch_complete(pf, out),
-            Built::Tpc(p) => p.on_prefetch_complete(pf, out),
-            Built::Composite(p) => p.on_prefetch_complete(pf, out),
-            Built::Shunt(p) => p.on_prefetch_complete(pf, out),
-            Built::Mono(p) => p.on_prefetch_complete(pf, out),
-        }
-    }
-
-    fn claims_pc(&self, mpc: u64) -> bool {
-        match self {
-            Built::None(p) => p.claims_pc(mpc),
-            Built::Tpc(p) => p.claims_pc(mpc),
-            Built::Composite(p) => p.claims_pc(mpc),
-            Built::Shunt(p) => p.claims_pc(mpc),
-            Built::Mono(p) => p.claims_pc(mpc),
-        }
-    }
-}
+/// A built configuration. Every one, from the bare TPC to a shunt, is a
+/// boxed [`Prefetcher`].
+pub type Built = Box<dyn Prefetcher>;
 
 /// Builds a prefetcher configuration by name.
 ///
@@ -125,44 +42,39 @@ impl Prefetcher for Built {
 ///   `"NextLine"`, `"StridePC"`),
 /// * `"TPC+<mono>"` — TPC compositing an extra component,
 /// * `"TPC|<mono>"` — TPC shunting with the same prefetcher.
-pub fn build(name: &str) -> Option<Built> {
+pub fn build(name: &str) -> Option<Box<dyn Prefetcher>> {
     match name {
-        "none" => Some(Built::None(NoPrefetcher)),
-        "TPC" => Some(Built::Tpc(Tpc::full())),
-        "T2" => Some(Built::Tpc(Tpc::t2_only())),
-        "P1" => Some(Built::Tpc(Tpc::p1_only())),
-        "C1" => Some(Built::Tpc(
+        "none" => Some(Box::new(NoPrefetcher)),
+        "TPC" => Some(Box::new(Tpc::full())),
+        "T2" => Some(Box::new(Tpc::t2_only())),
+        "P1" => Some(Box::new(Tpc::p1_only())),
+        "C1" => Some(Box::new(
             TpcBuilder::new().t2(false).p1(false).name("C1").build(),
         )),
-        "T2+P1" => Some(Built::Tpc(TpcBuilder::new().c1(false).build())),
-        "TPC-plainPC" => Some(Built::Tpc(
+        "T2+P1" => Some(Box::new(TpcBuilder::new().c1(false).build())),
+        "TPC-plainPC" => Some(Box::new(
             TpcBuilder::new().plain_pc().name("TPC-plainPC").build(),
         )),
         _ => {
             if let Some(rest) = name.strip_prefix("TPC+") {
                 let extra = monolithic_by_name(rest, extra_origin(0))?;
-                return Some(Built::Composite(Composite::with_extra(
-                    Tpc::full(),
+                return Some(Box::new(Composite::with_extra(
+                    Box::new(Tpc::full()),
                     extra_origin(0),
                     extra,
                 )));
             }
             if let Some(rest) = name.strip_prefix("TPC|") {
                 let extra = monolithic_by_name(rest, extra_origin(0))?;
-                return Some(Built::Shunt(Shunt::new(vec![Box::new(Tpc::full()), extra])));
+                return Some(Box::new(Shunt::new(vec![Box::new(Tpc::full()), extra])));
             }
             let idx = MONOLITHIC_NAMES.iter().position(|n| *n == name);
             let origin = idx
                 .map(monolithic_origin)
                 .unwrap_or(Origin(origins::MONOLITHIC_BASE));
-            monolithic_by_name(name, origin).map(Built::Mono)
+            monolithic_by_name(name, origin)
         }
     }
-}
-
-/// Origins that belong to TPC's own components.
-pub fn tpc_origins() -> Vec<Origin> {
-    vec![origins::T2, origins::P1, origins::C1]
 }
 
 #[cfg(test)]

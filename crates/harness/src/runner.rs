@@ -1,4 +1,5 @@
-//! Shared run helpers: workload capture, baseline + per-config runs.
+//! Shared run helpers: workload capture, baseline + per-config runs,
+//! and 4-core co-runs of captured workloads.
 //!
 //! Metrics are accumulated *online* through event sinks — a
 //! [`FootprintSink`] for the baseline, [`StreamingMetrics`] for every
@@ -9,10 +10,11 @@
 //! across runs in the `memo` tables (see that module for the keys and
 //! bounds); [`clear_run_caches`] empties them.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use dol_cpu::{RunResult, System, SystemConfig, Workload};
-use dol_mem::CacheLevel;
+use dol_cpu::{MultiRunResult, RunResult, System, SystemConfig, Workload};
+use dol_mem::{CacheLevel, EventSink};
 use dol_metrics::{classify_trace, Classifier, Footprint, FootprintSink, StreamingMetrics};
 use dol_workloads::Spec;
 
@@ -101,7 +103,6 @@ impl BaselineRun {
 }
 
 /// One prefetcher configuration's run on one workload.
-#[derive(Clone)]
 pub struct AppRun {
     /// Configuration name.
     pub config: String,
@@ -117,20 +118,19 @@ impl AppRun {
     /// classifier.
     ///
     /// Deterministic in `(config, system, baseline key)`, so results
-    /// are memoized like [`BaselineRun::capture`]. Runs with
-    /// caller-prepared accumulators ([`run_streaming`](Self::run_streaming))
-    /// bypass the memo.
+    /// are memoized like [`BaselineRun::capture`] and returned as the
+    /// same shared artifact. Runs with caller-prepared accumulators
+    /// ([`run_streaming`](Self::run_streaming)) bypass the memo.
     ///
     /// # Panics
     ///
     /// Panics on an unknown configuration name.
-    pub fn run(base: &BaselineRun, config: &str, sys: &System) -> Self {
+    pub fn run(base: &BaselineRun, config: &str, sys: &System) -> Arc<Self> {
         let (_, insts, _) = base.key;
-        let shared = memo::APP_RUNS.get_or_compute(Self::key(base, config, sys), insts, || {
+        memo::APP_RUNS.get_or_compute(Self::key(base, config, sys), insts, || {
             let sm = StreamingMetrics::new().with_classifier(base.classifier.clone());
             Self::run_streaming(base, config, sys, sm)
-        });
-        AppRun::clone(&shared)
+        })
     }
 
     /// The memo key of [`run`](Self::run).
@@ -187,8 +187,66 @@ pub fn single_core() -> System {
 }
 
 /// Convenience: run a set of prefetchers over one prepared app.
-pub fn run_configs(base: &BaselineRun, configs: &[&str], sys: &System) -> Vec<AppRun> {
+pub fn run_configs(base: &BaselineRun, configs: &[&str], sys: &System) -> Vec<Arc<AppRun>> {
     configs.iter().map(|c| AppRun::run(base, c, sys)).collect()
+}
+
+/// The captured members of a set of 4-core co-runs, each distinct
+/// workload captured once with its solo no-prefetch baseline.
+pub struct CoRunMembers {
+    captured: HashMap<&'static str, Arc<BaselineRun>>,
+}
+
+impl CoRunMembers {
+    /// Captures every distinct workload named in `mixes`, in
+    /// first-appearance order, through the plan's sweep pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown workload name.
+    pub fn capture(plan: &RunPlan, mixes: &[[&'static str; 4]]) -> Self {
+        let mut uniq: Vec<&'static str> = Vec::new();
+        for &name in mixes.iter().flatten() {
+            if !uniq.contains(&name) {
+                uniq.push(name);
+            }
+        }
+        let captured = crate::sweep::map(plan.jobs, &uniq, |&name| {
+            let spec =
+                dol_workloads::by_name(name).unwrap_or_else(|| panic!("unknown workload {name}"));
+            (name, BaselineRun::capture(&spec, plan))
+        });
+        CoRunMembers {
+            captured: captured.into_iter().collect(),
+        }
+    }
+
+    /// The solo no-prefetch IPCs of `mix`'s members: the reference of
+    /// its weighted speedups.
+    pub fn solo_ipcs(&self, mix: &[&str; 4]) -> Vec<f64> {
+        mix.iter().map(|&m| self.captured[m].result.ipc()).collect()
+    }
+
+    /// Co-runs `mix` on `sys`, core `i` running prefetcher configuration
+    /// `configs[i]`, streaming every core's events into `sink`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a workload missing from the capture or on an unknown
+    /// configuration name.
+    pub fn corun<S: EventSink + ?Sized>(
+        &self,
+        sys: &System,
+        mix: &[&str; 4],
+        configs: [&str; 4],
+        sink: &mut S,
+    ) -> MultiRunResult {
+        let workloads = mix.map(|m| &self.captured[m].workload);
+        let mut cores = configs.map(|c| {
+            prefetchers::build(c).unwrap_or_else(|| panic!("unknown prefetcher config {c}"))
+        });
+        sys.run_corun(&workloads, &mut cores, sink)
+    }
 }
 
 #[cfg(test)]

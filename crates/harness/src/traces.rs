@@ -78,6 +78,14 @@ pub fn load_workload(trace_dir: &Path, name: &str, plan: &RunPlan) -> Result<Wor
             plan.seed
         )));
     }
+    if header.insts != plan.insts {
+        return Err(TraceError::Corrupt(format!(
+            "{} was recorded with {} instructions, plan wants {}",
+            path.display(),
+            header.insts,
+            plan.insts
+        )));
+    }
     Ok(Workload { trace, memory })
 }
 
@@ -126,5 +134,26 @@ mod tests {
             load_workload(&dir, spec.name, &wrong),
             Err(TraceError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn load_rejects_a_budget_mismatch() {
+        let dir = tmp_dir("budget");
+        let plan = RunPlan {
+            insts: 5_000,
+            ..RunPlan::smoke()
+        };
+        let spec = dol_workloads::by_name("stream_sum").unwrap();
+        record(&spec, plan.insts, plan.seed, &trace_path(&dir, spec.name)).unwrap();
+        let wrong = RunPlan {
+            insts: plan.insts * 2,
+            ..plan
+        };
+        match load_workload(&dir, spec.name, &wrong) {
+            Err(TraceError::Corrupt(msg)) => {
+                assert!(msg.contains("5000 instructions"), "{msg}")
+            }
+            other => panic!("expected a budget mismatch, got {:?}", other.map(|_| ())),
+        }
     }
 }

@@ -1,6 +1,8 @@
 //! Budgets the `dol` CLI cannot honour, and flags a subcommand does not
 //! read, stop it with exit status 2 and a one-line error naming the flag,
 //! before anything is simulated, printed on stdout or written to disk.
+//! A replay from traces recorded at another budget fails, naming the
+//! trace file, instead of printing a report the live run would not.
 
 use std::process::{Command, Output};
 
@@ -89,4 +91,33 @@ fn fig_renders_its_ids_in_the_order_given() {
         String::from_utf8_lossy(&a)
     );
     assert_eq!(render(&["table2", "table1"]), [a, b].concat());
+}
+
+#[test]
+fn replay_refuses_traces_recorded_at_another_budget() {
+    let dir = std::env::temp_dir().join(format!("dol-cli-budget-{}", std::process::id()));
+    let dir = dir.to_str().expect("UTF-8 temp dir");
+    let record = dol(&["trace", "record", "--all", "--smoke", "--dir", dir]);
+    assert!(record.status.success(), "smoke traces record");
+    let out = dol(&[
+        "fig",
+        "table2",
+        "fig09",
+        "--insts",
+        "50000",
+        "--jobs",
+        "1",
+        "--trace-dir",
+        dir,
+    ]);
+    std::fs::remove_dir_all(dir).expect("scratch traces removed");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !out.status.success(),
+        "a 40000-instruction trace is refused"
+    );
+    assert!(
+        stderr.contains(".dolt was recorded with 40000 instructions, plan wants 50000"),
+        "stderr names the file and both budgets: {stderr}"
+    );
 }

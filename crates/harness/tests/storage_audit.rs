@@ -13,7 +13,7 @@ use dol_harness::runner::single_core;
 use dol_harness::RunPlan;
 
 /// Captures one small workload and drives it through `p`.
-fn exercise(p: &mut prefetchers::Built) {
+fn exercise(p: &mut dyn Prefetcher) {
     let plan = RunPlan::quick();
     let spec = dol_workloads::by_name("stream_sum").expect("known workload");
     let workload =
@@ -25,9 +25,18 @@ fn exercise(p: &mut prefetchers::Built) {
 fn storage_bits_is_workload_invariant() {
     let mut names: Vec<String> = COMPARISON_SET.iter().map(|s| s.to_string()).collect();
     names.extend(
-        ["T2", "P1", "C1", "T2+P1", "TPC-plainPC", "none"]
-            .iter()
-            .map(|s| s.to_string()),
+        [
+            "T2",
+            "P1",
+            "C1",
+            "T2+P1",
+            "TPC-plainPC",
+            "none",
+            "NextLine",
+            "StridePC",
+        ]
+        .iter()
+        .map(|s| s.to_string()),
     );
     for extra in EXTRA_SET {
         names.push(format!("TPC+{extra}"));
@@ -36,7 +45,7 @@ fn storage_bits_is_workload_invariant() {
     for name in names {
         let mut p = prefetchers::build(&name).unwrap_or_else(|| panic!("{name} must build"));
         let before = p.storage_bits();
-        exercise(&mut p);
+        exercise(p.as_mut());
         assert_eq!(
             p.storage_bits(),
             before,

@@ -84,11 +84,6 @@ impl<R: Read> TraceReader<R> {
         self.bytes_read
     }
 
-    /// Instructions decoded so far.
-    pub fn insts_decoded(&self) -> u64 {
-        self.decoded_insts
-    }
-
     /// Reconstructs the memory image from the memory frames. Must be
     /// called before the first [`next_inst`](Self::next_inst); returns an
     /// empty image for a trace with no memory section.

@@ -16,6 +16,13 @@ pub struct Mix {
     pub members: [Spec; 4],
 }
 
+impl Mix {
+    /// The four members' kernel names, in core order.
+    pub fn names(&self) -> [&'static str; 4] {
+        std::array::from_fn(|i| self.members[i].name)
+    }
+}
+
 /// Generates `count` deterministic 4-way mixes from all suites.
 pub fn mixes(count: usize, seed: u64) -> Vec<Mix> {
     let pool = all_workloads();

@@ -30,8 +30,11 @@ fn main() {
         let base = run(&workload, &sys, &mut NoPrefetcher);
         let tpc = run(&workload, &sys, &mut Tpc::full());
 
-        let mut composite =
-            Composite::with_extra(Tpc::full(), extra_origin, Box::new(Sms::new(extra_origin)));
+        let mut composite = Composite::with_extra(
+            Box::new(Tpc::full()),
+            extra_origin,
+            Box::new(Sms::new(extra_origin)),
+        );
         let comp = run(&workload, &sys, &mut composite);
 
         let mut shunt = Shunt::new(vec![

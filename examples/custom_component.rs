@@ -65,8 +65,11 @@ fn main() {
     let tpc = sys.run(&workload, &mut Tpc::full()).cycles;
 
     let origin = Origin(origins::EXTRA_BASE);
-    let mut composite =
-        Composite::with_extra(Tpc::full(), origin, Box::new(NextRegion::new(origin)));
+    let mut composite = Composite::with_extra(
+        Box::new(Tpc::full()),
+        origin,
+        Box::new(NextRegion::new(origin)),
+    );
     let comp = sys.run(&workload, &mut composite).cycles;
 
     println!("TPC alone:            {:.3}x", base as f64 / tpc as f64);
