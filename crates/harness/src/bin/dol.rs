@@ -208,7 +208,10 @@ fn figure_ids() -> String {
 }
 
 /// The plan of `dol fig` and `dol all`: the smoke or the full plan, with
-/// the plan flags applied.
+/// the plan flags applied. With `--trace-dir`, every workload's trace
+/// header is checked against the plan first, so a missing file or one
+/// recorded at another budget or seed is refused before any driver
+/// prints.
 fn run_plan(a: &Args) -> RunPlan {
     a.refuse_with_smoke(&["--insts", "--mixes"]);
     let plan = if a.has("--smoke") {
@@ -216,8 +219,20 @@ fn run_plan(a: &Args) -> RunPlan {
     } else {
         RunPlan::full()
     };
-    plan.with_flags(|flag| a.value(flag))
-        .unwrap_or_else(|e| e.exit())
+    let plan = plan
+        .with_flags(|flag| a.value(flag))
+        .unwrap_or_else(|e| e.exit());
+    if let Some(dir) = &plan.trace_dir {
+        for spec in dol_workloads::all_workloads() {
+            if let Err(e) = traces::check_trace(dir, spec.name, &plan) {
+                refuse(&format!(
+                    "{}: {e}",
+                    traces::trace_path(dir, spec.name).display()
+                ));
+            }
+        }
+    }
+    plan
 }
 
 /// `dol all`: every driver's report, then the deviation total.

@@ -72,9 +72,10 @@ fn variant_speedups(plan: &RunPlan, apps: &[&str], variants: &[Variant]) -> Vec<
     let per_app = crate::sweep::map(plan.jobs, apps, |name| {
         let spec = dol_workloads::by_name(name).expect("known workload");
         let base = BaselineRun::capture(&spec, plan);
+        let workload = base.workload();
         variants
             .iter()
-            .map(|build| base.cycles() as f64 / sys.run(&base.workload, &mut build()).cycles as f64)
+            .map(|build| base.cycles() as f64 / sys.run(&workload, &mut build()).cycles as f64)
             .collect::<Vec<f64>>()
     });
     (0..variants.len())

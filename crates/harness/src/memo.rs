@@ -1,95 +1,89 @@
 //! Cross-run memoization: the one place where simulation state outlives
 //! a run.
 //!
-//! A capture, a per-config run and a classification are each
+//! A capture, a baseline run and a per-config run are each
 //! deterministic in their key — the functional VM, the timing model and
-//! the offline analyses have no other inputs — and most figure drivers
-//! repeat the same handful. Each kind is held in one bounded FIFO
-//! [`Memo`] table and shared as an `Arc`. A hit is bit-identical to a
-//! fresh computation, so reports are byte-identical whether a value is
-//! served from a table or not.
+//! the offline analyses have no other inputs — and the figure drivers
+//! re-read the same runs. Each kind is held in one [`Memo`] table and
+//! shared as an `Arc`; a hit is bit-identical to a fresh computation.
 //!
-//! The tables have separate bounds because their artifacts differ in
-//! size by orders of magnitude: captures hold whole traces, per-config
-//! runs hold only counters, and classifiers are tiny category maps that
-//! must survive the capture table's churn on a full-budget suite. A
-//! single instruction-weighted bound would evict the classifiers along
-//! with the captures.
+//! Only traces are bounded: each holds every retired instruction and a
+//! memory image, and keeping all 36 of a full-budget run raised its peak
+//! RSS by half. Baselines and per-config runs, counters and line sets,
+//! stay for the process's life, so no run is simulated twice; an evicted
+//! trace is captured again on its next use ([`BaselineRun::workload`]).
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use dol_metrics::Classifier;
+use dol_cpu::Workload;
 
 use crate::runner::{AppRun, BaselineRun};
 
 /// `(workload name, insts, seed)` — everything a capture depends on.
-/// Every capture runs on the canonical single-core system of
+/// Every baseline runs on the canonical single-core system of
 /// [`crate::runner::single_core`], so the system is not part of the key.
-/// A capture's offline classification depends on nothing else either,
-/// so the classifier table shares this key.
 pub(crate) type CaptureKey = (String, u64, u64);
 
-/// `(config, system fingerprint, workload name, insts, seed)` —
-/// everything an [`AppRun::run`] depends on. The system is keyed by its
+/// `(config, system fingerprint, capture key)` — everything an
+/// [`AppRun::run`] depends on. The system is keyed by its
 /// `Debug` rendering: drivers such as fig16 reuse one config name across
 /// structurally different systems (prefetch destination sweeps). Its
 /// oracle-stratified runs bypass the table, since their system's
 /// rendering would carry the whole LHF line set.
-pub(crate) type AppRunKey = (String, String, String, u64, u64);
+pub(crate) type AppRunKey = (String, String, CaptureKey);
 
-/// Instructions the capture table holds at most.
+/// Instructions the trace table holds at most.
 const CAPTURE_INSTS: u64 = 6_000_000;
 
-/// Captured workloads with their baselines, weighted by instructions.
-pub(crate) static CAPTURES: Memo<CaptureKey, BaselineRun> = Memo::new(CAPTURE_INSTS);
+/// Captured traces, weighted by instructions.
+pub(crate) static TRACES: Memo<CaptureKey, Workload> =
+    Memo::new(Some((CAPTURE_INSTS, |w| w.trace.len() as u64)));
 
-/// Per-config runs, weighted by instructions. Their artifacts are far
-/// smaller than traces, so the table holds 4x the capture table's
-/// instructions.
-pub(crate) static APP_RUNS: Memo<AppRunKey, AppRun> = Memo::new(4 * CAPTURE_INSTS);
+/// No-prefetch baselines with their offline classifications.
+pub(crate) static BASELINES: Memo<CaptureKey, BaselineRun> = Memo::new(None);
 
-/// Offline classifications, one unit of weight each; 64 entries hold the
-/// whole workload suite.
-pub(crate) static CLASSIFIERS: Memo<CaptureKey, Classifier> = Memo::new(64);
+/// Per-config runs.
+pub(crate) static APP_RUNS: Memo<AppRunKey, AppRun> = Memo::new(None);
 
 /// Empties every table, so the next run re-simulates everything.
 pub(crate) fn clear() {
-    CAPTURES.clear();
+    TRACES.clear();
+    BASELINES.clear();
     APP_RUNS.clear();
-    CLASSIFIERS.clear();
 }
 
-/// A bounded FIFO memo table from `K` to shared `V`s.
-///
-/// Each entry carries a caller-given weight. Inserting evicts the oldest
-/// entries while the held weight exceeds the capacity and more than one
-/// entry remains, so the newest entry always stays.
+/// A FIFO memo table from `K` to shared `V`s. A bounded table evicts the
+/// oldest entries while the held weight exceeds the capacity and more
+/// than one entry remains, so the newest entry always stays.
 pub(crate) struct Memo<K, V> {
-    capacity: u64,
+    bound: Bound<V>,
     table: Mutex<Table<K, V>>,
 }
 
+/// `(capacity, weight)`: the weight a table holds at most beyond its
+/// newest entry, and each value's weight. `None` keeps every entry.
+type Bound<V> = Option<(u64, fn(&V) -> u64)>;
+
 struct Table<K, V> {
     held: u64,
-    entries: VecDeque<(K, u64, Arc<V>)>,
+    entries: VecDeque<(K, Arc<V>)>,
 }
 
 impl<K: PartialEq, V> Table<K, V> {
     fn find(&self, key: &K) -> Option<Arc<V>> {
         self.entries
             .iter()
-            .find(|(k, _, _)| k == key)
-            .map(|(_, _, v)| Arc::clone(v))
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| Arc::clone(v))
     }
 }
 
 impl<K: PartialEq, V> Memo<K, V> {
-    /// An empty table holding at most `capacity` weight (beyond its
-    /// newest entry).
-    pub(crate) const fn new(capacity: u64) -> Self {
+    /// An empty table.
+    pub(crate) const fn new(bound: Bound<V>) -> Self {
         Memo {
-            capacity,
+            bound,
             table: Mutex::new(Table {
                 held: 0,
                 entries: VecDeque::new(),
@@ -107,7 +101,7 @@ impl<K: PartialEq, V> Memo<K, V> {
     /// keys proceed in parallel. When two workers race on one key, the
     /// first value stored wins and both get it; the values are
     /// bit-identical, so either would do.
-    pub(crate) fn get_or_compute(&self, key: K, weight: u64, f: impl FnOnce() -> V) -> Arc<V> {
+    pub(crate) fn get_or_compute(&self, key: K, f: impl FnOnce() -> V) -> Arc<V> {
         if let Some(hit) = self.lock().find(&key) {
             return hit;
         }
@@ -116,11 +110,13 @@ impl<K: PartialEq, V> Memo<K, V> {
         if let Some(first) = t.find(&key) {
             return first;
         }
-        t.held += weight;
-        t.entries.push_back((key, weight, Arc::clone(&fresh)));
-        while t.held > self.capacity && t.entries.len() > 1 {
-            if let Some((_, w, _)) = t.entries.pop_front() {
-                t.held -= w;
+        t.entries.push_back((key, Arc::clone(&fresh)));
+        if let Some((capacity, weight)) = self.bound {
+            t.held += weight(&fresh);
+            while t.held > capacity && t.entries.len() > 1 {
+                if let Some((_, v)) = t.entries.pop_front() {
+                    t.held -= weight(&v);
+                }
             }
         }
         fresh
@@ -134,7 +130,7 @@ impl<K: PartialEq, V> Memo<K, V> {
     }
 
     #[cfg(test)]
-    fn contains(&self, key: &K) -> bool {
+    pub(crate) fn contains(&self, key: &K) -> bool {
         self.lock().find(key).is_some()
     }
 
@@ -142,6 +138,14 @@ impl<K: PartialEq, V> Memo<K, V> {
     fn len(&self) -> usize {
         self.lock().entries.len()
     }
+}
+
+/// Held by every test that empties the process-wide tables, so none of
+/// them empties a table under another's checks.
+#[cfg(test)]
+pub(crate) fn clearing() -> MutexGuard<'static, ()> {
+    static CLEARING: Mutex<()> = Mutex::new(());
+    CLEARING.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -152,18 +156,19 @@ mod tests {
 
     #[test]
     fn hit_returns_the_stored_arc() {
-        let m: Memo<u32, String> = Memo::new(10);
-        let a = m.get_or_compute(1, 1, || "one".to_string());
-        let b = m.get_or_compute(1, 1, || unreachable!("a hit must not recompute"));
+        let m: Memo<u32, String> = Memo::new(None);
+        let a = m.get_or_compute(1, || "one".to_string());
+        let b = m.get_or_compute(1, || unreachable!("a hit must not recompute"));
         assert!(Arc::ptr_eq(&a, &b));
     }
 
     #[test]
     fn evicts_oldest_first_and_keeps_the_newest() {
-        let m: Memo<u32, u32> = Memo::new(10);
-        m.get_or_compute(1, 4, || 1);
-        m.get_or_compute(2, 4, || 2);
-        m.get_or_compute(3, 4, || 3);
+        // Each value is its own weight.
+        let m: Memo<u32, u64> = Memo::new(Some((10, |&w| w)));
+        m.get_or_compute(1, || 4);
+        m.get_or_compute(2, || 4);
+        m.get_or_compute(3, || 4);
         assert!(
             !m.contains(&1),
             "oldest entry evicted once weight exceeds 10"
@@ -171,23 +176,33 @@ mod tests {
         assert!(m.contains(&2) && m.contains(&3));
         // An entry heavier than the whole capacity evicts everything else
         // but is itself kept.
-        m.get_or_compute(4, 50, || 4);
+        m.get_or_compute(4, || 50);
         assert_eq!(m.len(), 1);
         assert!(m.contains(&4));
-        let again = m.get_or_compute(4, 50, || unreachable!("newest entry must stay"));
-        assert_eq!(*again, 4);
+        let again = m.get_or_compute(4, || unreachable!("newest entry must stay"));
+        assert_eq!(*again, 50);
+    }
+
+    #[test]
+    fn unbounded_table_never_evicts() {
+        let m: Memo<u32, u64> = Memo::new(None);
+        for k in 0..1000 {
+            m.get_or_compute(k, || u64::MAX);
+        }
+        assert_eq!(m.len(), 1000);
+        assert!((0..1000).all(|k| m.contains(&k)));
     }
 
     #[test]
     fn racing_insert_keeps_one_entry() {
-        let m: Memo<u32, u64> = Memo::new(10);
+        let m: Memo<u32, u64> = Memo::new(None);
         let barrier = Barrier::new(2);
         let values: Vec<Arc<u64>> = std::thread::scope(|s| {
             let workers: Vec<_> = (0..2u64)
                 .map(|i| {
                     let (m, barrier) = (&m, &barrier);
                     s.spawn(move || {
-                        m.get_or_compute(7, 1, || {
+                        m.get_or_compute(7, || {
                             // Both workers miss before either inserts.
                             barrier.wait();
                             i
@@ -206,6 +221,7 @@ mod tests {
 
     #[test]
     fn clear_empties_every_table() {
+        let _clearing = clearing();
         // Keys no other test uses (an odd budget and seed), so tests
         // filling the tables concurrently cannot disturb the checks.
         let plan = crate::RunPlan {
@@ -217,15 +233,15 @@ mod tests {
         let base = BaselineRun::capture(&spec, &plan);
         let sys = crate::runner::single_core();
         AppRun::run(&base, "T2", &sys);
-        let capture_key = base.key.clone();
+        let capture_key = ("stream_sum".to_string(), plan.insts, plan.seed);
         let run_key = AppRun::key(&base, "T2", &sys);
-        assert!(CAPTURES.contains(&capture_key));
+        assert!(TRACES.contains(&capture_key));
+        assert!(BASELINES.contains(&capture_key));
         assert!(APP_RUNS.contains(&run_key));
-        assert!(CLASSIFIERS.contains(&capture_key));
 
         clear();
-        assert!(!CAPTURES.contains(&capture_key));
+        assert!(!TRACES.contains(&capture_key));
+        assert!(!BASELINES.contains(&capture_key));
         assert!(!APP_RUNS.contains(&run_key));
-        assert!(!CLASSIFIERS.contains(&capture_key));
     }
 }

@@ -6,9 +6,9 @@
 //! prefetcher run — no run buffers its raw event stream.
 //!
 //! Each simulation builds its working set fresh and drops it when it
-//! returns. Captures, per-config runs and classifications are memoized
-//! across runs in the `memo` tables (see that module for the keys and
-//! bounds); [`clear_run_caches`] empties them.
+//! returns. Traces, baselines and per-config runs are memoized across
+//! runs in the `memo` tables (see that module for the keys and the one
+//! bound); [`clear_run_caches`] empties them.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -22,13 +22,11 @@ use crate::memo::{self, AppRunKey, CaptureKey};
 use crate::plan::RunPlan;
 use crate::prefetchers;
 
-/// A captured workload with its baseline (no-prefetch) run and offline
-/// analysis artifacts.
+/// A workload's baseline (no-prefetch) run and offline analysis
+/// artifacts; [`workload`](Self::workload) fetches its trace.
 pub struct BaselineRun {
     /// Workload name.
     pub name: String,
-    /// The captured trace + memory image.
-    pub workload: Workload,
     /// The no-prefetch run.
     pub result: RunResult,
     /// Baseline L1 miss footprint (for scope).
@@ -39,56 +37,39 @@ pub struct BaselineRun {
     /// Baseline misses per kilo-instruction at L1 (the paper's scatter
     /// weights).
     pub mpki: f64,
-    /// Capture memo key; also identifies this baseline in per-config
-    /// run keys.
-    pub(crate) key: CaptureKey,
+    /// The workload and the plan it was captured under: all it takes to
+    /// capture its trace again.
+    spec: Spec,
+    plan: RunPlan,
 }
 
 impl BaselineRun {
     /// Captures `spec` under `plan` and runs the no-prefetch baseline on
-    /// the canonical [`single_core`] system. A memoized capture is
-    /// returned as a shared, bit-identical artifact without
-    /// re-simulating.
+    /// the canonical [`single_core`] system, or returns the memoized,
+    /// bit-identical baseline without re-simulating.
     pub fn capture(spec: &Spec, plan: &RunPlan) -> Arc<Self> {
-        let key: CaptureKey = (spec.name.to_string(), plan.insts, plan.seed);
-        memo::CAPTURES.get_or_compute(key.clone(), plan.insts, || {
-            Self::capture_uncached(spec, plan, key)
+        memo::BASELINES.get_or_compute(capture_key(spec, plan), || {
+            let workload = trace(spec, plan);
+            let mut fp = FootprintSink::new(CacheLevel::L1);
+            let result =
+                single_core().run_with_sink(&workload, &mut dol_core::NoPrefetcher, &mut fp);
+            let mpki = result.stats.cores[0].l1_misses as f64 * 1000.0 / result.instructions as f64;
+            BaselineRun {
+                name: spec.name.to_string(),
+                result,
+                fp_l1: fp.into_footprint(),
+                classifier: Arc::new(classify_trace(&workload.trace)),
+                mpki,
+                spec: spec.clone(),
+                plan: plan.clone(),
+            }
         })
     }
 
-    fn capture_uncached(spec: &Spec, plan: &RunPlan, key: CaptureKey) -> Self {
-        let workload = match &plan.trace_dir {
-            // Replay path: decode the recorded trace instead of running
-            // the functional VM. The decoded workload is bit-identical
-            // to a live capture, so everything downstream (including the
-            // capture memo) is unchanged.
-            Some(dir) => crate::traces::load_workload(dir, spec.name, plan).unwrap_or_else(|e| {
-                panic!(
-                    "failed to load trace for {} from {}: {e}",
-                    spec.name,
-                    dir.display()
-                )
-            }),
-            None => Workload::capture(spec.build_vm(plan.seed), plan.insts)
-                .unwrap_or_else(|e| panic!("workload {} failed: {e}", spec.name)),
-        };
-        let mut none = dol_core::NoPrefetcher;
-        let mut fp = FootprintSink::new(CacheLevel::L1);
-        let result = single_core().run_with_sink(&workload, &mut none, &mut fp);
-        // Keyed like the capture, so a classifier outlives its capture's
-        // eviction from the (much smaller) capture table.
-        let classifier =
-            memo::CLASSIFIERS.get_or_compute(key.clone(), 1, || classify_trace(&workload.trace));
-        let mpki = result.stats.cores[0].l1_misses as f64 * 1000.0 / result.instructions as f64;
-        BaselineRun {
-            name: spec.name.to_string(),
-            workload,
-            result,
-            fp_l1: fp.into_footprint(),
-            classifier,
-            mpki,
-            key,
-        }
+    /// The captured trace + memory image, captured again (or re-loaded)
+    /// after its eviction from the memo; the baseline is never re-run.
+    pub fn workload(&self) -> Arc<Workload> {
+        trace(&self.spec, &self.plan)
     }
 
     /// Baseline cycle count.
@@ -100,6 +81,26 @@ impl BaselineRun {
     pub fn traffic(&self) -> u64 {
         self.result.stats.dram.total_traffic_lines()
     }
+}
+
+fn capture_key(spec: &Spec, plan: &RunPlan) -> CaptureKey {
+    (spec.name.to_string(), plan.insts, plan.seed)
+}
+
+/// `spec`'s trace under `plan`: from the trace table, else decoded from
+/// the plan's trace directory (bit-identical to a live capture) or run.
+fn trace(spec: &Spec, plan: &RunPlan) -> Arc<Workload> {
+    memo::TRACES.get_or_compute(capture_key(spec, plan), || match &plan.trace_dir {
+        Some(dir) => crate::traces::load_workload(dir, spec.name, plan).unwrap_or_else(|e| {
+            panic!(
+                "failed to load trace for {} from {}: {e}",
+                spec.name,
+                dir.display()
+            )
+        }),
+        None => Workload::capture(spec.build_vm(plan.seed), plan.insts)
+            .unwrap_or_else(|e| panic!("workload {} failed: {e}", spec.name)),
+    })
 }
 
 /// One prefetcher configuration's run on one workload.
@@ -126,8 +127,7 @@ impl AppRun {
     ///
     /// Panics on an unknown configuration name.
     pub fn run(base: &BaselineRun, config: &str, sys: &System) -> Arc<Self> {
-        let (_, insts, _) = base.key;
-        memo::APP_RUNS.get_or_compute(Self::key(base, config, sys), insts, || {
+        memo::APP_RUNS.get_or_compute(Self::key(base, config, sys), || {
             let sm = StreamingMetrics::new().with_classifier(base.classifier.clone());
             Self::run_streaming(base, config, sys, sm)
         })
@@ -135,8 +135,8 @@ impl AppRun {
 
     /// The memo key of [`run`](Self::run).
     pub(crate) fn key(base: &BaselineRun, config: &str, sys: &System) -> AppRunKey {
-        let (name, insts, seed) = base.key.clone();
-        (config.to_string(), format!("{sys:?}"), name, insts, seed)
+        let capture = capture_key(&base.spec, &base.plan);
+        (config.to_string(), format!("{sys:?}"), capture)
     }
 
     /// Like [`run`](Self::run) with a caller-prepared accumulator (e.g.
@@ -153,7 +153,7 @@ impl AppRun {
     ) -> Self {
         let mut p = prefetchers::build(config)
             .unwrap_or_else(|| panic!("unknown prefetcher config {config}"));
-        let result = sys.run_with_sink(&base.workload, &mut p, &mut metrics);
+        let result = sys.run_with_sink(&base.workload(), &mut p, &mut metrics);
         AppRun {
             config: config.to_string(),
             result,
@@ -173,7 +173,7 @@ impl AppRun {
     }
 }
 
-/// Empties the capture, per-config run and classifier memo tables, so
+/// Empties the trace, baseline and per-config run memo tables, so
 /// the next run re-simulates everything from scratch. A benchmark that
 /// repeats a workload calls this between iterations, so a repeat served
 /// from the memo does not measure bookkeeping instead of simulation.
@@ -241,7 +241,7 @@ impl CoRunMembers {
         configs: [&str; 4],
         sink: &mut S,
     ) -> MultiRunResult {
-        let workloads = mix.map(|m| &self.captured[m].workload);
+        let workloads = mix.map(|m| self.captured[m].workload());
         let mut cores = configs.map(|c| {
             prefetchers::build(c).unwrap_or_else(|| panic!("unknown prefetcher config {c}"))
         });
@@ -272,5 +272,36 @@ mod tests {
         let base = BaselineRun::capture(&spec, &plan);
         let run = AppRun::run(&base, "T2", &sys);
         assert!(run.speedup(&base) > 1.05, "got {}", run.speedup(&base));
+    }
+
+    #[test]
+    fn an_evicted_trace_costs_no_resimulation() {
+        let _clearing = memo::clearing();
+        // Keys no other test uses (an odd budget and seed).
+        let plan = RunPlan {
+            insts: 10_009,
+            seed: 0x7ace,
+            ..RunPlan::quick()
+        };
+        let sys = single_core();
+        let spec = dol_workloads::by_name("stream_sum").unwrap();
+        let key = capture_key(&spec, &plan);
+        let base = BaselineRun::capture(&spec, &plan);
+        let t2 = AppRun::run(&base, "T2", &sys);
+        memo::TRACES.clear();
+
+        let again = BaselineRun::capture(&spec, &plan);
+        assert!(Arc::ptr_eq(&base, &again), "the baseline is not re-run");
+        let t2_again = AppRun::run(&again, "T2", &sys);
+        assert!(Arc::ptr_eq(&t2, &t2_again), "T2 is not re-run");
+        assert!(!memo::TRACES.contains(&key), "nor is the trace captured");
+
+        let tpc = AppRun::run(&again, "TPC", &sys);
+        assert!(memo::TRACES.contains(&key), "a new config captures it");
+        clear_run_caches();
+        let fresh = BaselineRun::capture(&spec, &plan);
+        assert!(!Arc::ptr_eq(&base, &fresh));
+        assert_eq!(base.result, fresh.result);
+        assert_eq!(tpc.result, AppRun::run(&fresh, "TPC", &sys).result);
     }
 }

@@ -11,7 +11,7 @@ use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 
 use dol_cpu::Workload;
-use dol_trace::{decode_workload, encode_workload, TraceError, TraceHeader};
+use dol_trace::{decode_workload, encode_workload, TraceError, TraceHeader, TraceReader};
 use dol_workloads::Spec;
 
 use crate::plan::RunPlan;
@@ -57,36 +57,40 @@ pub fn record_all(plan: &RunPlan, dir: &Path) -> Result<Vec<(String, u64)>, Trac
 /// Decodes `<trace_dir>/<name>.dolt` into a [`Workload`], validating the
 /// header against the plan.
 pub fn load_workload(trace_dir: &Path, name: &str, plan: &RunPlan) -> Result<Workload, TraceError> {
-    let path = trace_path(trace_dir, name);
     // Plain file reads: the bulk decode reads whole frames straight into
     // their payload buffer.
-    let file = File::open(&path)?;
-    let (header, memory, trace) = decode_workload(file)?;
-    if header.name != name {
-        return Err(TraceError::Corrupt(format!(
-            "{} holds workload {:?}, expected {:?}",
-            path.display(),
-            header.name,
-            name
-        )));
-    }
-    if header.seed != plan.seed {
-        return Err(TraceError::Corrupt(format!(
-            "{} was recorded with seed {}, plan wants {}",
-            path.display(),
-            header.seed,
-            plan.seed
-        )));
-    }
-    if header.insts != plan.insts {
-        return Err(TraceError::Corrupt(format!(
-            "{} was recorded with {} instructions, plan wants {}",
-            path.display(),
-            header.insts,
-            plan.insts
-        )));
-    }
+    let (header, memory, trace) = decode_workload(File::open(trace_path(trace_dir, name))?)?;
+    check_header(&header, name, plan)?;
     Ok(Workload { trace, memory })
+}
+
+/// Reads only the header of `<trace_dir>/<name>.dolt` and checks it
+/// against the plan, as [`load_workload`] does, without decoding the
+/// body.
+pub fn check_trace(trace_dir: &Path, name: &str, plan: &RunPlan) -> Result<(), TraceError> {
+    let reader = TraceReader::new(File::open(trace_path(trace_dir, name))?)?;
+    check_header(reader.header(), name, plan)
+}
+
+/// Refuses a header recorded for another workload, seed or budget than
+/// `name` under `plan`.
+fn check_header(header: &TraceHeader, name: &str, plan: &RunPlan) -> Result<(), TraceError> {
+    let mismatch = if header.name != name {
+        format!("holds workload {:?}, expected {name:?}", header.name)
+    } else if header.seed != plan.seed {
+        format!(
+            "recorded with seed {}, plan wants {}",
+            header.seed, plan.seed
+        )
+    } else if header.insts != plan.insts {
+        format!(
+            "recorded with {} instructions, plan wants {}",
+            header.insts, plan.insts
+        )
+    } else {
+        return Ok(());
+    };
+    Err(TraceError::Corrupt(mismatch))
 }
 
 #[cfg(test)]

@@ -1,8 +1,10 @@
-//! Budgets the `dol` CLI cannot honour, and flags a subcommand does not
-//! read, stop it with exit status 2 and a one-line error naming the flag,
-//! before anything is simulated, printed on stdout or written to disk.
-//! A replay from traces recorded at another budget fails, naming the
-//! trace file, instead of printing a report the live run would not.
+//! Budgets the `dol` CLI cannot honour, a garbage or out-of-range
+//! `--insts` / `--mixes` / `--jobs` value, an unknown figure id, and flags
+//! a subcommand does not read, stop it with exit status 2 and a one-line
+//! error naming the flag, before anything is simulated, printed on stdout
+//! or written to disk. So does a replay from a trace directory with a
+//! missing file or traces recorded at another budget, naming the file,
+//! before any report is printed.
 
 use std::process::{Command, Output};
 
@@ -22,6 +24,50 @@ fn assert_refused(args: &[&str], needle: &str) {
     assert_eq!(stderr.lines().count(), 1, "{args:?}: stderr {stderr}");
     assert!(stderr.contains(needle), "{args:?}: stderr {stderr}");
     assert!(out.stdout.is_empty(), "{args:?}: nothing is printed");
+}
+
+/// `dol fig table1 --<flag> <value>` is refused with an error naming the
+/// flag and the value.
+fn assert_bad_value(flag: &str, value: &str) {
+    assert_refused(
+        &["fig", "table1", flag, value],
+        &format!("invalid {flag} \"{value}\""),
+    );
+}
+
+#[test]
+fn garbage_dol_insts_exits_2() {
+    assert_bad_value("--insts", "40k");
+    assert_bad_value("--insts", "5000");
+}
+
+#[test]
+fn garbage_dol_mixes_exits_2() {
+    assert_bad_value("--mixes", "two");
+    assert_bad_value("--mixes", "0");
+}
+
+#[test]
+fn garbage_dol_jobs_exits_2() {
+    assert_bad_value("--jobs", "-3");
+    assert_bad_value("--jobs", "1000");
+}
+
+#[test]
+fn unknown_ids_and_smoke_budgets_exit_2() {
+    let fig = ["fig", "table1"];
+    assert_refused(
+        &[&fig[..], &["fig99"]].concat(),
+        "unknown id `fig99`; ids: table1, table2, fig01",
+    );
+    assert_refused(
+        &[&fig[..], &["--smoke", "--insts", "20000"]].concat(),
+        "--smoke",
+    );
+    assert_refused(
+        &[&fig[..], &["--smoke", "--mixes", "2"]].concat(),
+        "--smoke",
+    );
 }
 
 #[test]
@@ -97,27 +143,29 @@ fn fig_renders_its_ids_in_the_order_given() {
 fn replay_refuses_traces_recorded_at_another_budget() {
     let dir = std::env::temp_dir().join(format!("dol-cli-budget-{}", std::process::id()));
     let dir = dir.to_str().expect("UTF-8 temp dir");
+    let missing = format!("{dir}/missing");
     let record = dol(&["trace", "record", "--all", "--smoke", "--dir", dir]);
     assert!(record.status.success(), "smoke traces record");
-    let out = dol(&[
-        "fig",
-        "table2",
-        "fig09",
-        "--insts",
-        "50000",
-        "--jobs",
-        "1",
-        "--trace-dir",
+    let replay = |trace_dir: &str, needle: &str| {
+        assert_refused(
+            &[
+                "fig",
+                "table2",
+                "fig09",
+                "--insts",
+                "50000",
+                "--jobs",
+                "1",
+                "--trace-dir",
+                trace_dir,
+            ],
+            needle,
+        )
+    };
+    replay(
         dir,
-    ]);
+        ".dolt: corrupt trace: recorded with 40000 instructions, plan wants 50000",
+    );
+    replay(&missing, &format!("{missing}/"));
     std::fs::remove_dir_all(dir).expect("scratch traces removed");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        !out.status.success(),
-        "a 40000-instruction trace is refused"
-    );
-    assert!(
-        stderr.contains(".dolt was recorded with 40000 instructions, plan wants 50000"),
-        "stderr names the file and both budgets: {stderr}"
-    );
 }

@@ -322,13 +322,6 @@ impl Cache {
     pub fn valid_lines(&self) -> usize {
         self.tags.iter().filter(|&&t| t != NO_TAG).count()
     }
-
-    /// Removes the line if present, returning whether it was dirty.
-    pub fn invalidate(&mut self, line: u64) -> Option<bool> {
-        let i = self.find(line)?;
-        self.tags[i] = NO_TAG;
-        Some(self.lines[i].dirty)
-    }
 }
 
 #[cfg(test)]
@@ -461,16 +454,6 @@ mod tests {
         blamed.sort();
         assert_eq!(blamed, vec![Origin(1), Origin(2)]);
         assert!(c.prefetch_origins_in_set(1).is_empty(), "other set");
-    }
-
-    #[test]
-    fn invalidate_removes() {
-        let mut c = tiny();
-        c.fill(0, 0, None, false);
-        c.demand_access(0, 1, true);
-        assert_eq!(c.invalidate(0), Some(true));
-        assert!(!c.probe(0));
-        assert_eq!(c.invalidate(0), None);
     }
 
     #[test]

@@ -35,6 +35,6 @@ pub use classify::{classify_trace, Category, Classifier};
 pub use dol_mem::LineSet;
 pub use scatter::{accuracy_scope_plot, ScatterPoint};
 pub use scope::{footprint, prefetched_lines, scope, Footprint, FootprintSink};
-pub use stats::{geomean, normalize_to, weighted_speedup, WeightedPoint};
+pub use stats::{geomean, weighted_speedup, WeightedPoint};
 pub use stream::{CoreCells, StreamingMetrics};
 pub use table::TextTable;

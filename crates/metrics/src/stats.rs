@@ -16,12 +16,6 @@ pub fn geomean(values: &[f64]) -> f64 {
     (log_sum / values.len() as f64).exp()
 }
 
-/// Normalizes each value to a reference: `v / reference`.
-pub fn normalize_to(values: &[f64], reference: f64) -> Vec<f64> {
-    assert!(reference > 0.0, "reference must be positive");
-    values.iter().map(|v| v / reference).collect()
-}
-
 /// The paper's multicore figure of merit: weighted speedup
 /// `Σ IPC_shared(i) / IPC_alone(i)` over the cores of a mix.
 pub fn weighted_speedup(ipc_shared: &[f64], ipc_alone: &[f64]) -> f64 {
@@ -128,10 +122,5 @@ mod tests {
         ];
         let (x, y) = WeightedPoint::weighted_average(&pts);
         assert_eq!((x, y), (0.5, 3.0));
-    }
-
-    #[test]
-    fn normalization() {
-        assert_eq!(normalize_to(&[2.0, 4.0], 2.0), vec![1.0, 2.0]);
     }
 }
